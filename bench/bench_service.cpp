@@ -21,24 +21,21 @@
 ///     samples (the merged service histogram is only a cross-check), at
 ///     50% and 90% of saturation.
 ///
-///  3. Skewed grammar mix (the PR 10 scheduler scenario): an 80/20-style
-///     cost-skewed request mix over {python, json, dot, verilog} — python
-///     is ~40% of requests but carries most of the token-cost, so under
-///     FifoAffinity its single home worker saturates (~1.6x utilization
-///     at 50% aggregate load on 4 workers) while the other three idle.
-///     Both scheduler backends run the same paced open loop; reported
-///     per backend: p50/p99, p99_over_p50, steal_rate — and the same-run
-///     ratio steal_tail_improvement = fifo p99/p50 over steal p99/p50,
-///     which is the machine-independent gate (>= 1.5x, armed only when
-///     the machine has >= 4 hardware threads: on fewer cores there is no
-///     parallel capacity to steal and the scenario is degenerate).
+///  3. Skewed grammar mix: a cost-skewed request mix over {python, json,
+///     dot, verilog} — python is ~40% of requests but carries most of the
+///     token-cost, so its home worker runs far hotter than the others.
+///     One paced open loop at 50% of the mix's saturation; reported:
+///     p50/p99 and p99_over_p50, the machine-independent tail ratio the
+///     committed-baseline gate tracks (armed only when the machine has
+///     >= 4 hardware threads: on fewer cores the workers time-share and
+///     the scenario is degenerate).
 ///
-///  4. Deadline storm: tight mixed deadlines at 80% load on both
-///     backends; deadline_met_rate and edf_inversions_avoided are
-///     recorded (never gated — met rates are machine-dependent).
+///  4. Deadline storm: tight mixed deadlines at 80% load;
+///     deadline_met_rate is recorded (never gated — met rates are
+///     machine-dependent).
 ///
-/// Machine-independent ratios (saturation_vs_batch, p99_over_p50,
-/// steal_tail_improvement) carry the regression gates; absolute tok/s
+/// Machine-independent ratios (saturation_vs_batch, p99_over_p50) carry
+/// the regression gates; absolute tok/s
 /// and microseconds are recorded for the EXPERIMENTS.md tables but never
 /// gated.
 ///
@@ -159,14 +156,14 @@ OpenLoopResult runOpenLoop(const BenchCorpus &C, const GrammarAnalysis &A,
 }
 
 //===----------------------------------------------------------------------===//
-// Skewed grammar mix + deadline storm (scheduler scenarios)
+// Skewed grammar mix + deadline storm
 //===----------------------------------------------------------------------===//
 
 /// The cost-skewed request mix: four grammars, python ~40% of requests
 /// but carrying most of the token-cost (its files are larger and its
 /// grammar is the slowest per token), the cheap grammars round-robined
-/// over the rest. The schedule is a fixed deterministic interleave so
-/// both scheduler backends replay exactly the same arrivals.
+/// over the rest. The schedule is a fixed deterministic interleave, so
+/// every run replays exactly the same arrivals.
 struct SkewedMix {
   std::vector<BenchCorpus> Corpora;          ///< python, json, dot, verilog
   std::vector<size_t> ReqGrammar;            ///< request -> corpus index
@@ -199,30 +196,18 @@ struct SkewedMix {
   }
 };
 
-struct SkewedRunResult {
-  OpenLoopResult Loop;
-  uint64_t Steals = 0;
-  uint64_t StealFails = 0;
-  uint64_t EdfInversionsAvoided = 0;
-};
-
-/// One skewed-mix (or storm) run: a fresh four-grammar service on
-/// \p Sched, warmed per grammar, then the fixed schedule replayed as a
-/// paced open loop. \p DeadlineMicrosFor maps a request index to a
-/// deadline offset in microseconds (0 = no deadline) — the skewed
-/// scenario passes all-zero, the storm passes its deadline pattern.
+/// One skewed-mix (or storm) run: a fresh four-grammar service, warmed
+/// per grammar, then the fixed schedule replayed as a paced open loop.
+/// \p DeadlineMicrosFor maps a request index to a deadline offset in
+/// microseconds (0 = no deadline) — the skewed scenario passes all-zero,
+/// the storm passes its deadline pattern.
 template <typename DeadlineFn>
-SkewedRunResult runSkewed(const SkewedMix &Mix, service::SchedulerBackend Sched,
-                          double RatePerSec, DeadlineFn DeadlineMicrosFor) {
+OpenLoopResult runSkewed(const SkewedMix &Mix, double RatePerSec,
+                         DeadlineFn DeadlineMicrosFor) {
   service::ServiceOptions Opts;
   Opts.Workers = benchWorkers();
   Opts.QueueCapacity = 8192;
-  Opts.Scheduler = Sched;
-  // With one home worker per grammar every steal crosses grammar lines,
-  // so the scenario measures cold stealing — the knob the skew exists
-  // to justify.
-  Opts.AllowColdSteal = true;
-  Opts.CollectMetrics = true;
+  Opts.CollectMetrics = false;
   service::ParseService S(Opts);
   std::vector<uint32_t> Gids;
   for (const BenchCorpus &C : Mix.Corpora)
@@ -280,32 +265,24 @@ SkewedRunResult runSkewed(const SkewedMix &Mix, service::SchedulerBackend Sched,
   }
   S.drain();
 
-  SkewedRunResult Out;
-  const obs::MetricsRegistry &M = S.report().Metrics;
-  Out.Steals = M.counter("service.steals");
-  Out.StealFails = M.counter("service.steal_fails");
-  Out.EdfInversionsAvoided = M.counter("service.edf_inversions_avoided");
+  OpenLoopResult Out;
   for (size_t I = 0; I < N; ++I) {
     if (IsDone[I]) {
-      ++Out.Loop.Done;
-      Out.Loop.LatenciesUs.push_back(Latency[I]);
+      ++Out.Done;
+      Out.LatenciesUs.push_back(Latency[I]);
     } else {
-      ++Out.Loop.Refused;
+      ++Out.Refused;
     }
   }
   return Out;
 }
 
 /// Closed-loop saturation of the skewed mix: submit everything, drain,
-/// time it. Run on StealEdf (work-conserving, so this is the mix's
-/// service capacity); both backends are then paced at the same fraction
-/// of it.
+/// time it. The open-loop runs are paced at a fraction of this rate.
 double skewedSaturationRate(const SkewedMix &Mix) {
   service::ServiceOptions Opts;
   Opts.Workers = benchWorkers();
   Opts.QueueCapacity = 8192;
-  Opts.Scheduler = service::SchedulerBackend::StealEdf;
-  Opts.AllowColdSteal = true;
   service::ParseService S(Opts);
   std::vector<uint32_t> Gids;
   for (const BenchCorpus &C : Mix.Corpora)
@@ -400,7 +377,7 @@ int main(int Argc, char **Argv) {
         {Name, "p99_over_p50", P50 > 0 ? P99 / P50 : 0.0, "x"});
   }
 
-  // 3. Skewed grammar mix on both scheduler backends.
+  // 3. Skewed grammar mix.
   const unsigned ParallelCapacity =
       std::min(std::thread::hardware_concurrency(), Workers);
   std::printf("== skewed mix: 4 grammars, python-heavy, %u workers ==\n",
@@ -411,52 +388,32 @@ int main(int Argc, char **Argv) {
   std::printf("mix: %zu requests, python %.0f%% of tokens\n",
               Mix.ReqWord.size(),
               100.0 * double(Mix.PythonTokens) / double(Mix.TotalTokens));
-  double MixSat = skewedSaturationRate(Mix);
-  double MixRate = MixSat * 0.5;
-  auto NoDeadline = [](size_t) { return uint64_t(0); };
+  double MixRate = skewedSaturationRate(Mix) * 0.5;
 
   Records.push_back({"service/skewed", "python_token_share",
                      double(Mix.PythonTokens) / double(Mix.TotalTokens),
                      "fraction"});
   Records.push_back({"service/skewed", "parallel_capacity",
                      double(ParallelCapacity), "threads"});
-
-  double TailRatio[2] = {0, 0}; // [0] = fifo, [1] = steal
-  for (int B = 0; B < 2; ++B) {
-    service::SchedulerBackend Sched =
-        B == 0 ? service::SchedulerBackend::FifoAffinity
-               : service::SchedulerBackend::StealEdf;
-    const char *Tag = B == 0 ? "fifo" : "steal";
-    SkewedRunResult R = runSkewed(Mix, Sched, MixRate, NoDeadline);
-    double P50 = double(percentile(R.Loop.LatenciesUs, 0.50));
-    double P99 = double(percentile(R.Loop.LatenciesUs, 0.99));
-    TailRatio[B] = P50 > 0 ? P99 / P50 : 0.0;
-    double StealRate =
-        R.Loop.Done > 0 ? double(R.Steals) / double(R.Loop.Done) : 0.0;
-    std::string Name = std::string("service/skewed/") + Tag + "/load50";
-    std::printf("skewed %s: %zu done, %zu refused, p50 %.0fus, p99 %.0fus "
-                "(%.1fx), steals %llu (rate %.3f), steal_fails %llu\n",
-                Tag, R.Loop.Done, R.Loop.Refused, P50, P99, TailRatio[B],
-                static_cast<unsigned long long>(R.Steals), StealRate,
-                static_cast<unsigned long long>(R.StealFails));
+  {
+    OpenLoopResult R =
+        runSkewed(Mix, MixRate, [](size_t) { return uint64_t(0); });
+    double P50 = double(percentile(R.LatenciesUs, 0.50));
+    double P99 = double(percentile(R.LatenciesUs, 0.99));
+    double TailRatio = P50 > 0 ? P99 / P50 : 0.0;
+    std::printf("skewed: %zu done, %zu refused, p50 %.0fus, p99 %.0fus "
+                "(%.1fx)\n",
+                R.Done, R.Refused, P50, P99, TailRatio);
+    const char *Name = "service/skewed/load50";
     Records.push_back({Name, "p50_us", P50, "us"});
     Records.push_back({Name, "p99_us", P99, "us"});
-    Records.push_back({Name, "p99_over_p50", TailRatio[B], "x"});
-    Records.push_back({Name, "done", double(R.Loop.Done), "requests"});
-    Records.push_back({Name, "refused", double(R.Loop.Refused), "requests"});
-    Records.push_back({Name, "steal_rate", StealRate, "steals/req"});
+    Records.push_back({Name, "p99_over_p50", TailRatio, "x"});
+    Records.push_back({Name, "done", double(R.Done), "requests"});
+    Records.push_back({Name, "refused", double(R.Refused), "requests"});
   }
-  double TailImprovement =
-      TailRatio[1] > 0 ? TailRatio[0] / TailRatio[1] : 0.0;
-  std::printf("skewed: steal tail improvement %.2fx (fifo p99/p50 %.1f vs "
-              "steal %.1f)\n",
-              TailImprovement, TailRatio[0], TailRatio[1]);
-  Records.push_back({"service/skewed", "steal_tail_improvement",
-                     TailImprovement, "x"});
 
-  // 4. Deadline storm on both backends: tight mixed deadlines at 80% of
-  //    the mix's saturation; a third of requests carry no deadline so
-  //    the EDF heap actually reorders (inversions avoided). Record-only.
+  // 4. Deadline storm: tight mixed deadlines at 80% of the mix's
+  //    saturation, a third of requests carrying none. Record-only.
   std::printf("== deadline storm: 80%% load, mixed deadlines ==\n");
   size_t StormN = std::max<size_t>(
       150, std::min<size_t>(600, size_t(250 * benchScale())));
@@ -464,29 +421,20 @@ int main(int Argc, char **Argv) {
   double StormRate = skewedSaturationRate(Storm) * 0.8;
   auto StormDeadline = [&Storm](size_t I) -> uint64_t {
     if (I % 3 == 2)
-      return 0; // no deadline: drains FIFO behind deadlined work
+      return 0; // no deadline
     // Python requests get a looser budget than the cheap grammars, but
     // both are tight against a storming backlog.
     return Storm.ReqGrammar[I] == 0 ? 50000 : 10000;
   };
-  for (int B = 0; B < 2; ++B) {
-    service::SchedulerBackend Sched =
-        B == 0 ? service::SchedulerBackend::FifoAffinity
-               : service::SchedulerBackend::StealEdf;
-    const char *Tag = B == 0 ? "fifo" : "steal";
-    SkewedRunResult R = runSkewed(Storm, Sched, StormRate, StormDeadline);
-    double MetRate =
-        double(R.Loop.Done) / double(R.Loop.Done + R.Loop.Refused);
-    std::string Name = std::string("service/storm/") + Tag;
-    std::printf("storm %s: %zu done, %zu refused/expired, met rate %.3f, "
-                "edf inversions avoided %llu\n",
-                Tag, R.Loop.Done, R.Loop.Refused, MetRate,
-                static_cast<unsigned long long>(R.EdfInversionsAvoided));
+  {
+    OpenLoopResult R = runSkewed(Storm, StormRate, StormDeadline);
+    double MetRate = double(R.Done) / double(R.Done + R.Refused);
+    std::printf("storm: %zu done, %zu refused/expired, met rate %.3f\n",
+                R.Done, R.Refused, MetRate);
+    const char *Name = "service/storm";
     Records.push_back({Name, "deadline_met_rate", MetRate, "fraction"});
-    Records.push_back({Name, "edf_inversions_avoided",
-                       double(R.EdfInversionsAvoided), "events"});
-    Records.push_back({Name, "done", double(R.Loop.Done), "requests"});
-    Records.push_back({Name, "refused", double(R.Loop.Refused), "requests"});
+    Records.push_back({Name, "done", double(R.Done), "requests"});
+    Records.push_back({Name, "refused", double(R.Refused), "requests"});
   }
 
   if (!writeBenchJson(Records, Opts.JsonOut))
@@ -504,26 +452,5 @@ int main(int Argc, char **Argv) {
   }
   std::printf("gate ok: service saturation %.3fx of flat pool (>= 0.9)\n",
               Ratio);
-
-  // Hard gate: stealing must repair the skewed mix's tail — >= 1.5x
-  // better p99/p50 than FifoAffinity in the same run. Armed only with
-  // real parallel capacity: on a 1-2 core machine there is nobody to
-  // steal the hot worker's backlog onto and the scenario is degenerate
-  // (CI runners have 4).
-  if (ParallelCapacity >= 4) {
-    if (TailImprovement < 1.5) {
-      std::fprintf(stderr,
-                   "GATE FAILED: steal tail improvement %.2fx on skewed "
-                   "mix (needs >= 1.5)\n",
-                   TailImprovement);
-      return 1;
-    }
-    std::printf("gate ok: steal tail improvement %.2fx (>= 1.5)\n",
-                TailImprovement);
-  } else {
-    std::printf("gate skipped: parallel capacity %u < 4, skewed-mix tail "
-                "gate needs real parallelism\n",
-                ParallelCapacity);
-  }
   return 0;
 }

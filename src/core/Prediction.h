@@ -44,7 +44,9 @@
 #include "grammar/Analysis.h"
 #include "grammar/Token.h"
 
+#include <atomic>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -274,21 +276,45 @@ public:
   /// Append-only DFA state storage with O(1) structural sharing: states
   /// live in fixed-size chunks held by shared_ptr, so copying the table
   /// (SharedSllCache snapshot/publish/adopt) copies chunk *pointers*, not
-  /// states. push_back clones only a partially-filled last chunk that is
-  /// still shared with a snapshot (copy-on-write; at most ChunkSize - 1
-  /// DfaState copies per divergence, independent of cache size). Chunks
-  /// are immutable once full, so cross-thread sharing is safe; the
-  /// use_count() == 1 check is the standard sole-owner COW test.
+  /// states. push_back clones only a partially-filled last chunk that
+  /// has ever been shared with a copy (copy-on-write; at most
+  /// ChunkSize - 1 DfaState copies per divergence, independent of cache
+  /// size). Copying a table freezes its partial tail chunk, and a frozen
+  /// or full chunk is never written again, so chunks are safe to share
+  /// across threads. (A use_count() == 1 test would not be: it does not
+  /// order the write after another thread's last read of the chunk.)
   class DfaStateTable {
     static constexpr size_t ChunkShift = 6;
     static constexpr size_t ChunkCap = size_t(1) << ChunkShift;
     struct Chunk {
       std::vector<DfaState> Items;
+      /// Set by any table copy that shares this chunk; atomic because
+      /// threads copying one immutable snapshot set it concurrently.
+      std::atomic<bool> Frozen{false};
     };
     std::vector<std::shared_ptr<Chunk>> Chunks;
     size_t Count = 0;
 
+    void freezeTail() const {
+      if (Count & (ChunkCap - 1))
+        Chunks.back()->Frozen.store(true, std::memory_order_relaxed);
+    }
+
   public:
+    DfaStateTable() = default;
+    DfaStateTable(const DfaStateTable &Other)
+        : Chunks(Other.Chunks), Count(Other.Count) {
+      freezeTail();
+    }
+    DfaStateTable &operator=(const DfaStateTable &Other) {
+      Chunks = Other.Chunks;
+      Count = Other.Count;
+      freezeTail();
+      return *this;
+    }
+    DfaStateTable(DfaStateTable &&) = default;
+    DfaStateTable &operator=(DfaStateTable &&) = default;
+
     size_t size() const { return Count; }
 
     const DfaState &operator[](size_t I) const {
@@ -299,7 +325,7 @@ public:
     void push_back(DfaState St) {
       if (Count & (ChunkCap - 1)) {
         std::shared_ptr<Chunk> &Last = Chunks.back();
-        if (Last.use_count() != 1) {
+        if (Last->Frozen.load(std::memory_order_relaxed)) {
           auto Fresh = std::make_shared<Chunk>();
           Fresh->Items.reserve(ChunkCap);
           Fresh->Items = Last->Items;

@@ -58,6 +58,17 @@ struct Language {
     assert(Indent && "language has no lexer");
     return Indent->scan(Src);
   }
+
+  /// Requests lexer backend \p B on whichever scanner stack is populated
+  /// (the indenting stack through its inner scanner).
+  void setLexBackend(lexer::LexBackend B) {
+    if (Plain)
+      Plain->setLexBackend(B);
+    if (Modal)
+      Modal->setLexBackend(B);
+    if (IndentInner)
+      IndentInner->setLexBackend(B);
+  }
 };
 
 /// Builds one benchmark language. Aborts (assert) on internal definition

@@ -83,6 +83,12 @@ public:
 
   /// Tokenizes \p Input starting in mode 0.
   LexResult scan(const std::string &Input) const;
+
+  /// Requests \p B on every mode's scanner (see Scanner::setLexBackend).
+  void setLexBackend(LexBackend B) {
+    for (std::unique_ptr<Scanner> &S : Scanners)
+      S->setLexBackend(B);
+  }
 };
 
 } // namespace lexer

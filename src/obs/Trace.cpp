@@ -49,10 +49,6 @@ const char *costar::obs::eventKindName(EventKind K) {
     return "fault_injected";
   case EventKind::BackendDowngrade:
     return "backend_downgrade";
-  case EventKind::StealTaken:
-    return "steal_taken";
-  case EventKind::EdfOutOfOrder:
-    return "edf_out_of_order";
   }
   return "unknown";
 }

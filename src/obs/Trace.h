@@ -98,15 +98,6 @@ enum class EventKind : uint8_t {
   /// paper-faithful AVL backend. A = 1 if the retry succeeded in producing
   /// a final (non-error) result, 0 otherwise.
   BackendDowngrade,
-  /// StealEdf scheduler: an idle worker removed a pending request from
-  /// another worker's pending set. A = thief worker, B = victim worker,
-  /// Value = stolen request id. Emitted with Word == UINT32_MAX
-  /// (scheduler activity, not any one word's parse).
-  StealTaken,
-  /// StealEdf scheduler: an EDF pop served a later-submitted deadline
-  /// ahead of FIFO order (a deadline inversion avoided). A = worker,
-  /// Value = popped request id. Word == UINT32_MAX.
-  EdfOutOfOrder,
 };
 
 /// Returns the stable serialization name of \p K (e.g. "consume").

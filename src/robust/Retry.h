@@ -18,13 +18,11 @@
 /// schedule is the standard "decorrelated-ish" half-jitter: attempt k
 /// sleeps uniformly in [Base*2^k / 2, Base*2^k), capped at MaxMicros.
 ///
-/// Interaction with work stealing (service/StealDeque.h): retries are
-/// strictly in place — once a worker (owner or thief) has removed a
-/// request from a pending set, every retry attempt runs on that same
-/// worker and the request is never re-enqueued or re-stolen. Stealing
-/// moves *pending* requests only, so the exactly-once response invariant
-/// is unaffected by the retry loop, and a stolen request's backoff
-/// stream is the thief's (jitter stays per-worker-deterministic).
+/// Retries are strictly in place: once a worker has popped a request from
+/// its channel, every retry attempt runs on that same worker and the
+/// request is never re-enqueued, so the exactly-once response invariant
+/// is unaffected by the retry loop and the backoff stream is that
+/// worker's (jitter stays per-worker-deterministic).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -12,8 +12,13 @@
 ///    producer at enqueue and decremented by the worker when it takes a
 ///    request. Tokens are the routing cost proxy — the input length is
 ///    known at submit time, and parse time is near-linear in it (the
-///    paper's Fig. 9), so least-backlog-tokens routing approximates
+///    paper's Fig. 9), so routing on tokens approximates
 ///    shortest-expected-wait without any calibration.
+///
+///  - ActiveTokens: the tokens of the request the worker is parsing.
+///    Routing adds them to the backlog, so a worker busy with one long
+///    parse and an empty queue does not look idle; admission and shedding
+///    read the queued backlog alone.
 ///
 ///  - CostModel: an EWMA of observed nanoseconds per token, updated by the
 ///    worker after every completed parse. The front door multiplies it by
@@ -25,10 +30,10 @@
 ///
 /// Coherence protocol (the stale-backlog fix): the producer charges the
 /// backlog *before* attempting the push and rolls back with undoEnqueue
-/// if the push is refused; the consumer (worker or thief) credits it only
-/// after removing the request. Since every decrement is preceded — in the
-/// RMW modification order of the counter — by its matching increment, no
-/// reader can ever observe the unsigned counters mid-wrap. The previous
+/// if the push is refused; the worker credits it only after popping the
+/// request. Since every decrement is preceded — in the RMW modification
+/// order of the counter — by its matching increment, no reader can ever
+/// observe the unsigned counters mid-wrap. The previous
 /// protocol (charge after a successful push) let a fast worker's
 /// decrement land first, so a concurrent submitter's feasibility read saw
 /// BacklogTokens wrapped to ~2^64 and spuriously rejected a meetable
@@ -86,12 +91,15 @@ public:
 };
 
 /// One worker's published load: queue depth and backlog, in tokens.
-/// Shared counters — under the StealEdf scheduler a thief decrements the
-/// victim's load, so these are read and written from any worker, and the
-/// enqueue-before-push protocol above is what keeps every read exact.
+/// Shared counters — submitters charge them and the owning worker credits
+/// them, and the enqueue-before-push protocol above is what keeps every
+/// read exact.
 struct WorkerLoad {
   std::atomic<uint32_t> Depth{0};
   std::atomic<uint64_t> BacklogTokens{0};
+  /// Advisory (routing only), so relaxed: a stale read picks a slightly
+  /// busier valid worker, never a wrong one.
+  std::atomic<uint64_t> ActiveTokens{0};
 
   /// Producer side, charged *before* the push is attempted (roll back
   /// with undoEnqueue if the push is refused).
@@ -107,8 +115,7 @@ struct WorkerLoad {
     BacklogTokens.fetch_sub(Tokens, std::memory_order_release);
   }
 
-  /// Consumer side — the owning worker or, under StealEdf, the thief that
-  /// removed the request from this worker's pending set.
+  /// Consumer side: the owning worker, after popping the request.
   void onDequeue(uint64_t Tokens) {
     Depth.fetch_sub(1, std::memory_order_release);
     BacklogTokens.fetch_sub(Tokens, std::memory_order_release);
@@ -117,6 +124,9 @@ struct WorkerLoad {
   uint32_t depth() const { return Depth.load(std::memory_order_acquire); }
   uint64_t backlogTokens() const {
     return BacklogTokens.load(std::memory_order_acquire);
+  }
+  uint64_t activeTokens() const {
+    return ActiveTokens.load(std::memory_order_relaxed);
   }
 };
 

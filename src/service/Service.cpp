@@ -8,8 +8,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -29,40 +27,19 @@ uint64_t microsBetween(Clock::time_point From, Clock::time_point To) {
           .count());
 }
 
-/// EDF key: absolute deadline in microseconds since the steady-clock
-/// epoch; deadline-free requests sort last (FIFO among themselves).
-uint64_t deadlineKey(const std::optional<Clock::time_point> &Deadline) {
-  if (!Deadline)
-    return StealDeque<int>::NoDeadline;
-  auto Us = std::chrono::duration_cast<std::chrono::microseconds>(
-      Deadline->time_since_epoch());
-  return Us.count() < 0 ? 0 : static_cast<uint64_t>(Us.count());
-}
-
 } // namespace
 
 const char *costar::service::schedulerBackendName(SchedulerBackend B) {
   switch (B) {
   case SchedulerBackend::FifoAffinity:
     return "fifo_affinity";
-  case SchedulerBackend::StealEdf:
-    return "steal_edf";
   }
   return "unknown";
 }
 
 SchedulerBackend costar::service::resolveSchedulerBackend(
     std::optional<SchedulerBackend> Explicit) {
-  if (Explicit)
-    return *Explicit;
-  if (const char *E = std::getenv("COSTAR_SERVICE_SCHED")) {
-    if (std::strcmp(E, "fifo") == 0 ||
-        std::strcmp(E, "fifo_affinity") == 0)
-      return SchedulerBackend::FifoAffinity;
-    if (std::strcmp(E, "steal") == 0 || std::strcmp(E, "steal_edf") == 0)
-      return SchedulerBackend::StealEdf;
-  }
-  return SchedulerBackend::StealEdf;
+  return Explicit.value_or(SchedulerBackend::FifoAffinity);
 }
 
 /// One registered grammar: its static tables (owned or lent), its shared
@@ -118,9 +95,7 @@ struct ParseService::WorkerState {
   std::optional<robust::BackoffSchedule> Backoff;
 };
 
-ParseService::ParseService(ServiceOptions Opts)
-    : Opts(std::move(Opts)),
-      Sched(resolveSchedulerBackend(this->Opts.Scheduler)) {}
+ParseService::ParseService(ServiceOptions Opts) : Opts(std::move(Opts)) {}
 
 ParseService::~ParseService() { drain(); }
 
@@ -180,12 +155,8 @@ void ParseService::start() {
   Loads.reserve(W);
   Tracers.resize(W);
   for (unsigned I = 0; I < W; ++I) {
-    if (Sched == SchedulerBackend::FifoAffinity)
-      Queues.push_back(std::make_unique<SpscQueue<QueuedRequest>>(
-          Opts.QueueCapacity));
-    else
-      Pending.push_back(std::make_unique<StealDeque<QueuedRequest>>(
-          Opts.QueueCapacity));
+    Queues.push_back(
+        std::make_unique<SpscQueue<QueuedRequest>>(Opts.QueueCapacity));
     ProducerLocks.push_back(std::make_unique<std::mutex>());
     Loads.push_back(std::make_unique<WorkerLoad>());
     if (Opts.CollectTrace)
@@ -193,28 +164,6 @@ void ParseService::start() {
           std::make_unique<obs::RingBufferTracer>(Opts.TraceCapacityPerThread);
   }
   Registries.resize(Opts.CollectMetrics ? W : 0);
-
-  // Steal topology: which grammars each worker homes, and the distinct
-  // other workers it may warm-steal from (the home workers of its own
-  // grammars — exactly the peers whose requests it can serve without a
-  // cold cache adopt).
-  HomesGrammar.assign(W, std::vector<uint8_t>(Grammars.size(), 0));
-  for (size_t GI = 0; GI < Grammars.size(); ++GI)
-    for (unsigned Home : Grammars[GI]->Home)
-      HomesGrammar[Home][GI] = 1;
-  VictimSets.assign(W, {});
-  for (unsigned Me = 0; Me < W; ++Me) {
-    std::vector<uint8_t> Seen(W, 0);
-    for (size_t GI = 0; GI < Grammars.size(); ++GI) {
-      if (!HomesGrammar[Me][GI])
-        continue;
-      for (unsigned V : Grammars[GI]->Home)
-        if (V != Me && !Seen[V]) {
-          Seen[V] = 1;
-          VictimSets[Me].push_back(V);
-        }
-    }
-  }
 
   Started = true;
   Accepting.store(true, std::memory_order_release);
@@ -248,16 +197,21 @@ ResponseStatus ParseService::submit(Request R, ResponseCallback Done) {
   }
   GrammarEntry &GE = *Grammars[R.GrammarId];
 
-  // Route: least backlog tokens among the grammar's home workers (depth
-  // breaks ties). Loads are relaxed snapshots — a stale read picks a
-  // slightly busier valid worker, never a wrong one.
+  // Route: least outstanding tokens (queued plus in progress) among the
+  // grammar's home workers, depth breaking ties. Loads are snapshots — a
+  // stale read picks a slightly busier valid worker, never a wrong one.
+  // BestTokens keeps the chosen worker's queued backlog for admission.
   unsigned Target = GE.Home.front();
-  uint64_t BestTokens = UINT64_MAX;
+  uint64_t BestTokens = 0;
+  uint64_t BestOutstanding = UINT64_MAX;
   uint32_t BestDepth = UINT32_MAX;
   for (unsigned W : GE.Home) {
     uint64_t T = Loads[W]->backlogTokens();
+    uint64_t Outstanding = T + Loads[W]->activeTokens();
     uint32_t D = Loads[W]->depth();
-    if (T < BestTokens || (T == BestTokens && D < BestDepth)) {
+    if (Outstanding < BestOutstanding ||
+        (Outstanding == BestOutstanding && D < BestDepth)) {
+      BestOutstanding = Outstanding;
       BestTokens = T;
       BestDepth = D;
       Target = W;
@@ -266,10 +220,8 @@ ResponseStatus ParseService::submit(Request R, ResponseCallback Done) {
 
   // Overload shedding by priority class, before anything consumes shared
   // breaker/queue state. Interactive is never shed.
-  size_t Capacity = Sched == SchedulerBackend::FifoAffinity
-                        ? Queues[Target]->capacity()
-                        : Pending[Target]->capacity();
-  double Fullness = double(Loads[Target]->depth()) / double(Capacity);
+  double Fullness = double(Loads[Target]->depth()) /
+                    double(Queues[Target]->capacity());
   if ((R.Class == Priority::BestEffort && Fullness >= Opts.ShedBestEffortAt) ||
       (R.Class == Priority::Batch && Fullness >= Opts.ShedBatchAt)) {
     ShedCount.fetch_add(1, std::memory_order_relaxed);
@@ -287,18 +239,12 @@ ResponseStatus ParseService::submit(Request R, ResponseCallback Done) {
       return ResponseStatus::Expired;
     }
     if (Opts.AdmitByDeadline) {
-      // Feasibility reads the routing loop's coherent minimum
-      // (BestTokens) instead of re-reading the target's counter: the
+      // Feasibility reads the routing loop's snapshot of the target's
+      // backlog (BestTokens) instead of re-reading its counter: the
       // enqueue-before-push protocol makes any single read exact, and
       // reusing the routed snapshot keeps the admit decision consistent
-      // with the worker it chose. Under StealEdf the home-set minimum
-      // *is* the stealable capacity (home workers steal from each
-      // other); cold stealing widens it to every worker.
-      uint64_t EffectiveBacklog = BestTokens;
-      if (Sched == SchedulerBackend::StealEdf && Opts.AllowColdSteal)
-        for (const std::unique_ptr<WorkerLoad> &L : Loads)
-          EffectiveBacklog = std::min(EffectiveBacklog, L->backlogTokens());
-      uint64_t Est = GE.Cost.estimateMicros(EffectiveBacklog + Tokens);
+      // with the worker it chose.
+      uint64_t Est = GE.Cost.estimateMicros(BestTokens + Tokens);
       if (Est > 0 && Now + std::chrono::microseconds(Est) > *R.Deadline) {
         RejectedDeadline.fetch_add(1, std::memory_order_relaxed);
         refuse(R, Done, ResponseStatus::Rejected, "deadline_unmeetable");
@@ -335,10 +281,8 @@ ResponseStatus ParseService::submit(Request R, ResponseCallback Done) {
     // serve before it exits.
     if (!Accepting.load(std::memory_order_acquire))
       Draining = true;
-    else if (Sched == SchedulerBackend::FifoAffinity)
-      Pushed = Queues[Target]->tryPush(QR);
     else
-      Pushed = Pending[Target]->tryPush(deadlineKey(QR.Req.Deadline), QR);
+      Pushed = Queues[Target]->tryPush(QR);
   }
   if (Pushed)
     return ResponseStatus::Done; // queued; terminal status via callback
@@ -399,9 +343,7 @@ bool ParseService::workerLife(unsigned WorkerIdx, WorkerState &WS) {
                      Opts.RetrySeed ^
                          (0x9E3779B97F4A7C15ull * (WorkerIdx + 1)));
 
-  const bool Fifo = Sched == SchedulerBackend::FifoAffinity;
-  SpscQueue<QueuedRequest> *Q = Fifo ? Queues[WorkerIdx].get() : nullptr;
-  StealDeque<QueuedRequest> *Own = Fifo ? nullptr : Pending[WorkerIdx].get();
+  SpscQueue<QueuedRequest> &Q = *Queues[WorkerIdx];
   obs::MetricsRegistry *Reg =
       Opts.CollectMetrics ? &Registries[WorkerIdx] : nullptr;
   uint64_t CompletedThisLife = 0;
@@ -409,23 +351,10 @@ bool ParseService::workerLife(unsigned WorkerIdx, WorkerState &WS) {
 
   for (;;) {
     QueuedRequest QR;
-    unsigned Src = WorkerIdx;
-    bool Inversion = false;
-    bool Stolen = false;
-    bool Got;
-    if (Fifo) {
-      Got = Q->tryPop(QR);
-    } else {
-      Got = Own->tryPop(QR, &Inversion);
-      if (!Got && (Got = trySteal(WorkerIdx, WS, Reg, QR, Src)))
-        Stolen = true;
-    }
-    if (!Got) {
-      // Exit when drain has begun and *our own* channel is dry: every
-      // pending set drains through its owner (thieves only ever shorten
-      // that), and whoever removed a request delivers its response.
-      if (Stopping.load(std::memory_order_acquire) &&
-          (Fifo ? Q->empty() : Own->empty()))
+    if (!Q.tryPop(QR)) {
+      // Exit when drain has begun and the channel is dry: drain()'s
+      // producer barrier guarantees no push lands after Stopping is set.
+      if (Stopping.load(std::memory_order_acquire) && Q.empty())
         break;
       // Idle escalation: spin briefly (a request may be microseconds
       // away), then yield, then sleep — idle workers must not starve the
@@ -453,25 +382,11 @@ bool ParseService::workerLife(unsigned WorkerIdx, WorkerState &WS) {
               std::chrono::microseconds(S.StallMicros));
         }
 
-    // Credit the load of whoever held the request — the victim's, when
-    // this take was a steal.
-    Loads[Src]->onDequeue(QR.Req.Input ? QR.Req.Input->size() : 0);
-    if (Reg) {
-      Reg->record("service.queue_depth", Fifo ? Q->size() : Own->size());
-      if (Stolen)
-        Reg->add("service.steals");
-      if (Inversion)
-        Reg->add("service.edf_inversions_avoided");
-    }
-    if (Opts.TraceSchedulerEvents && Tracers[WorkerIdx] &&
-        (Stolen || Inversion)) {
-      obs::RingBufferTracer *Trace = Tracers[WorkerIdx].get();
-      Trace->Word = UINT32_MAX; // scheduler activity, not a word's parse
-      if (Stolen)
-        Trace->emit(obs::EventKind::StealTaken, WorkerIdx, Src, QR.Req.Id);
-      if (Inversion)
-        Trace->emit(obs::EventKind::EdfOutOfOrder, WorkerIdx, 0, QR.Req.Id);
-    }
+    uint64_t Tokens = QR.Req.Input ? QR.Req.Input->size() : 0;
+    Loads[WorkerIdx]->onDequeue(Tokens);
+    Loads[WorkerIdx]->ActiveTokens.store(Tokens, std::memory_order_relaxed);
+    if (Reg)
+      Reg->record("service.queue_depth", Q.size());
     processRequest(WS, std::move(QR));
     ++CompletedThisLife;
 
@@ -504,56 +419,6 @@ bool ParseService::workerLife(unsigned WorkerIdx, WorkerState &WS) {
   return false;
 }
 
-bool ParseService::trySteal(unsigned Me, WorkerState &WS,
-                            obs::MetricsRegistry *Reg, QueuedRequest &QR,
-                            unsigned &Src) {
-  // Victim choice: the most-backlogged worker in this thief's victim set
-  // (home workers of its own grammars; everyone under AllowColdSteal). A
-  // zero-backlog scan is the common idle case and is not a failed steal.
-  unsigned Best = UINT32_MAX;
-  uint64_t BestTokens = 0;
-  if (Opts.AllowColdSteal) {
-    for (unsigned V = 0; V < NumWorkers; ++V) {
-      if (V == Me)
-        continue;
-      uint64_t T = Loads[V]->backlogTokens();
-      if (T > BestTokens) {
-        BestTokens = T;
-        Best = V;
-      }
-    }
-  } else {
-    for (unsigned V : VictimSets[Me]) {
-      uint64_t T = Loads[V]->backlogTokens();
-      if (T > BestTokens) {
-        BestTokens = T;
-        Best = V;
-      }
-    }
-  }
-  if (Best == UINT32_MAX)
-    return false;
-
-  // Eligibility: grammars this thief can serve warm (it homes them, or a
-  // previous cold steal already warmed them this life), or anything when
-  // cold steals are on. WS.Locals is only ever touched by this thread.
-  auto Eligible = [&](const QueuedRequest &Q) {
-    uint32_t G = Q.Req.GrammarId;
-    if (Opts.AllowColdSteal || HomesGrammar[Me][G])
-      return true;
-    return G < WS.Locals.size() && WS.Locals[G].Cache.has_value();
-  };
-  if (Pending[Best]->trySteal(QR, Eligible)) {
-    Src = Best;
-    return true;
-  }
-  // The victim had backlog when chosen but yielded nothing: its owner
-  // drained it first, or everything pending was ineligible.
-  if (Reg)
-    Reg->add("service.steal_fails");
-  return false;
-}
-
 void ParseService::processRequest(WorkerState &WS, QueuedRequest &&QR) {
   GrammarEntry &GE = *Grammars[QR.Req.GrammarId];
   obs::MetricsRegistry *Reg =
@@ -579,6 +444,7 @@ void ParseService::processRequest(WorkerState &WS, QueuedRequest &&QR) {
     }
     if (QR.BreakerProbe)
       GE.Breaker.onResult(/*Failure=*/true, /*IsProbe=*/true, StartTime);
+    Loads[WS.Index]->ActiveTokens.store(0, std::memory_order_relaxed);
     if (QR.Done)
       QR.Done(std::move(Resp));
     return;
@@ -675,6 +541,9 @@ void ParseService::processRequest(WorkerState &WS, QueuedRequest &&QR) {
       Reg->add("service.downgrades");
     Reg->record("service.latency_us", Resp.LatencyMicros);
   }
+  // The parse is over: stop routing against it before the response goes
+  // out, so a submitter the response wakes sees this worker as free.
+  Loads[WS.Index]->ActiveTokens.store(0, std::memory_order_relaxed);
   if (QR.Done)
     QR.Done(std::move(Resp));
 

@@ -32,16 +32,13 @@
 /// worker serves a fixed subset of the registered grammars, holding one
 /// thread-local warm SLL cache copy and one epoch arena per grammar, and
 /// exchanges warmth with the grammar's SharedSllCache on the PR-1
-/// publish/adopt protocol. Routing among a grammar's home workers is
-/// least-backlog-tokens (input length is the cost proxy; parse time is
-/// near-linear in tokens, Fig. 9).
+/// publish/adopt protocol. Routing among a grammar's home workers picks
+/// the least outstanding tokens, queued plus in progress (input length is
+/// the cost proxy; parse time is near-linear in tokens, Fig. 9).
 ///
-/// Scheduling is a dual backend (SchedulerBackend): FifoAffinity is the
-/// PR 8 paper-of-record baseline (strict FIFO per home worker), StealEdf
-/// (default) adds per-worker EDF pending sets, work stealing between a
-/// grammar's home workers when backlogs skew, and steal-aware deadline
-/// admission. Both produce bit-identical trees and exactly-once
-/// responses; the chaos battery and SchedulerEquivalenceTest assert it.
+/// Scheduling is strict FIFO per home worker: each worker drains its own
+/// SPSC channel in arrival order, and a request is always served by the
+/// home worker the front door routed it to.
 ///
 /// Chaos: the runtime accepts a robust::FaultPlan (parse-path faults,
 /// one injector per worker life) and a ServiceChaosPlan (worker death +
@@ -73,7 +70,6 @@
 #include "service/Load.h"
 #include "service/Request.h"
 #include "service/SpscQueue.h"
-#include "service/StealDeque.h"
 
 #include <memory>
 #include <mutex>
@@ -84,31 +80,15 @@
 namespace costar {
 namespace service {
 
-/// Scheduler backends — the repo's dual-path discipline applied to
-/// scheduling itself. Both preserve exactly-once responses and produce
-/// bit-identical parse results; they differ only in which worker serves a
-/// queued request and in what order.
-enum class SchedulerBackend : uint8_t {
-  /// PR 8 paper-of-record baseline: strict FIFO draining of per-worker
-  /// SPSC channels, every request served by the home worker the front
-  /// door routed it to.
-  FifoAffinity,
-  /// Second-generation scheduler (the default): per-worker EDF pending
-  /// sets (binary heap on absolute deadline, FIFO tiebreak for
-  /// deadline-free requests) + work stealing — an idle worker takes the
-  /// earliest eligible request from the most-backlogged home worker of a
-  /// grammar it has warmed caches for (any grammar when
-  /// ServiceOptions::AllowColdSteal) — + steal-aware deadline admission.
-  StealEdf,
-};
+/// The service's scheduler. FifoAffinity is the only one: strict FIFO
+/// draining of per-worker SPSC channels, every request served by the
+/// home worker the front door routed it to.
+enum class SchedulerBackend : uint8_t { FifoAffinity };
 
-/// Stable names for logs and bench records ("fifo_affinity", "steal_edf").
+/// Stable name for logs and bench records ("fifo_affinity").
 const char *schedulerBackendName(SchedulerBackend B);
 
-/// Resolution order: \p Explicit if set, else the COSTAR_SERVICE_SCHED
-/// environment variable ("fifo" / "steal"), else StealEdf. The env pin
-/// only moves defaulted services, so CI can sweep the whole test suite
-/// across backends without disturbing tests that pin one deliberately.
+/// \p Explicit if set, else FifoAffinity.
 SchedulerBackend
 resolveSchedulerBackend(std::optional<SchedulerBackend> Explicit);
 
@@ -118,24 +98,12 @@ struct ServiceOptions {
   /// Pin worker i to CPU i (mod hardware threads), best-effort: pinning
   /// failures (containers, restricted schedulers) are counted, not fatal.
   bool PinWorkers = true;
-  /// Per-worker channel capacity (FifoAffinity rounds it up to a power of
-  /// two). A full channel is an admission rejection, never a blocking
-  /// wait.
+  /// Per-worker channel capacity, rounded up to a power of two. A full
+  /// channel is an admission rejection, never a blocking wait.
   size_t QueueCapacity = 1024;
-  /// Scheduler backend; unset resolves through COSTAR_SERVICE_SCHED
-  /// ("fifo" / "steal") and defaults to StealEdf.
+  /// Scheduler backend. It has one value (FifoAffinity); the field exists
+  /// for existing callers that name it.
   std::optional<SchedulerBackend> Scheduler;
-  /// StealEdf: let an idle worker steal requests of grammars it has never
-  /// warmed (paying that grammar's one-time cache adopt on first parse),
-  /// and widen steal-aware admission from the grammar's home set to every
-  /// worker. Off by default: cold steals trade warmth for latency, which
-  /// only pays under sustained skew.
-  bool AllowColdSteal = false;
-  /// StealEdf: emit StealTaken / EdfOutOfOrder trace events (Word ==
-  /// UINT32_MAX) into the per-worker tracers when CollectTrace is on.
-  /// workload::BatchParser turns this off so batch traces stay
-  /// scheduler-independent.
-  bool TraceSchedulerEvents = true;
   /// Base per-parse knobs. Trace, Metrics, Faults, and AllocArena are
   /// worker-owned on the service path and ignored here; a request
   /// deadline tightens Budget.MaxWallMicros per parse.
@@ -235,9 +203,6 @@ public:
   bool started() const { return Started; }
   unsigned workers() const { return NumWorkers; }
 
-  /// The scheduler backend this service resolved at construction.
-  SchedulerBackend scheduler() const { return Sched; }
-
   /// Post-drain merged observability (metrics, trace). Also valid before
   /// start().
   const ServiceReport &report() const { return Report; }
@@ -261,34 +226,17 @@ private:
   /// One worker life: serves requests until drain (returns false) or a
   /// chaos death (returns true -> respawn with fresh state).
   bool workerLife(unsigned WorkerIdx, WorkerState &WS);
-  /// StealEdf: try to take the earliest eligible request from the
-  /// most-backlogged victim in \p Me's victim set. On success \p Src is
-  /// the victim (whose load the caller must credit).
-  bool trySteal(unsigned Me, WorkerState &WS, obs::MetricsRegistry *Reg,
-                QueuedRequest &QR, unsigned &Src);
   void processRequest(WorkerState &WS, QueuedRequest &&QR);
   void refuse(const Request &R, ResponseCallback &Done, ResponseStatus S,
               const char *Refusal);
 
   ServiceOptions Opts;
-  /// Resolved at construction (explicit > env > default StealEdf).
-  SchedulerBackend Sched = SchedulerBackend::StealEdf;
   std::vector<std::unique_ptr<GrammarEntry>> Grammars;
 
-  /// FifoAffinity: per-worker SPSC channels (empty under StealEdf).
+  /// Per-worker SPSC request channels.
   std::vector<std::unique_ptr<SpscQueue<QueuedRequest>>> Queues;
-  /// StealEdf: per-worker EDF pending sets, lock-striped so thieves can
-  /// remove entries exactly-once (empty under FifoAffinity).
-  std::vector<std::unique_ptr<StealDeque<QueuedRequest>>> Pending;
-  /// Per worker: the distinct other workers it may warm-steal from (home
-  /// workers of the grammars it homes). Fixed at start().
-  std::vector<std::vector<unsigned>> VictimSets;
-  /// [Worker][Grammar] "worker homes this grammar", for the thief's
-  /// eligibility predicate. Fixed at start().
-  std::vector<std::vector<uint8_t>> HomesGrammar;
-  /// Serializes multi-threaded submitters per channel; the FifoAffinity
-  /// channel itself stays SPSC, and drain()'s barrier walks these locks
-  /// under either backend.
+  /// Serializes multi-threaded submitters per channel (the channel itself
+  /// stays SPSC); drain()'s barrier walks these locks.
   std::vector<std::unique_ptr<std::mutex>> ProducerLocks;
   std::vector<std::unique_ptr<WorkerLoad>> Loads;
   std::vector<std::thread> Threads;

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -76,10 +78,6 @@ BatchResult runService(const Grammar &G, const GrammarAnalysis &Analysis,
   SO.CollectTrace = Opts.CollectTrace;
   SO.TraceCapacityPerThread = Opts.TraceCapacityPerThread;
   SO.Faults = Opts.Faults;
-  // Batch traces must stay scheduler-independent (the determinism suite
-  // compares them across thread counts); which worker served a word is
-  // not a batch-visible fact.
-  SO.TraceSchedulerEvents = false;
 
   service::ParseService S(SO);
   uint32_t Gid = S.addGrammar(G, Start, &Analysis, &Tables);
@@ -88,7 +86,22 @@ BatchResult runService(const Grammar &G, const GrammarAnalysis &Analysis,
   std::vector<std::optional<ParseResult>> Buf(Corpus.size());
   std::vector<Machine::Stats> PerWord(Corpus.size());
   std::vector<uint8_t> Downgraded(Corpus.size(), 0);
+  // Keep at most two words per worker in flight. The router sends each
+  // word to the worker with the least outstanding work, so a bounded
+  // window hands out words as workers free up, like the flat pool's
+  // shared cursor; queueing the whole corpus up front would fix the split
+  // by token count alone, and one cold-cache word can cost many times its
+  // share.
+  const size_t Window = 2 * size_t(Threads);
+  std::mutex InFlightLock;
+  std::condition_variable Freed;
+  size_t InFlight = 0;
   for (size_t I = 0; I < Corpus.size(); ++I) {
+    {
+      std::unique_lock<std::mutex> Lock(InFlightLock);
+      Freed.wait(Lock, [&] { return InFlight < Window; });
+      ++InFlight;
+    }
     service::Request Req;
     Req.Id = I;
     Req.GrammarId = Gid;
@@ -98,11 +111,16 @@ BatchResult runService(const Grammar &G, const GrammarAnalysis &Analysis,
         std::move(Req),
         // Workers write disjoint indices; drain()'s join orders them
         // before the reads below.
-        [&Buf, &PerWord, &Downgraded, I](service::Response &&Resp) {
+        [&, I](service::Response &&Resp) {
           if (Resp.Result)
             Buf[I] = std::move(*Resp.Result);
           PerWord[I] = Resp.Stats;
           Downgraded[I] = Resp.Downgraded ? 1 : 0;
+          {
+            std::lock_guard<std::mutex> Lock(InFlightLock);
+            --InFlight;
+          }
+          Freed.notify_one();
         });
     assert(St == service::ResponseStatus::Done && "batch submit refused");
     (void)St;

@@ -122,9 +122,9 @@ TEST(TraceDeterminism, BatchMergeEqualsSingleThreadModuloThreadIds) {
 
 TEST(TraceDeterminism, SharedCacheBatchTracesCompletelyAndConsistently) {
   // With ShareCache on, cache warmth (hence hit/miss events) depends on
-  // work-stealing order, so traces are not cross-run comparable — but
-  // they must still be complete (no drops), well-formed per word (begin
-  // and end present), and the parse results stay deterministic. This is
+  // which worker drew which word, so traces are not cross-run comparable
+  // — but they must still be complete (no drops), well-formed per word
+  // (begin and end present), and the parse results stay deterministic. This is
   // also the TSan target for concurrent tracing.
   Grammar G = figure2Grammar();
   NonterminalId S = G.lookupNonterminal("S");

@@ -142,20 +142,9 @@ void writeChaosArtifact(const std::string &Name, const std::string &Body) {
 
 /// One seeded trial: run the corpus through a chaos-afflicted service and
 /// return a description of the first violated invariant ("" = clean).
-/// \p Sched pins the scheduler backend; \p ColdSteal widens stealing;
-/// \p SkewSubmission adds a long stall on worker 0 right as the corpus's
-/// front-loaded chain-grammar stream lands on it, so pending work piles
-/// up behind the stall and thieves must cross the stripe locks to drain
-/// it (the stealing battery's pressure pattern), racing the seeded
-/// deaths and the final drain.
 std::string runTrial(const TrialCorpus &Corpus, uint64_t Seed,
-                     unsigned Workers, bool WithFaults,
-                     SchedulerBackend Sched = SchedulerBackend::StealEdf,
-                     bool ColdSteal = false, bool SkewSubmission = false) {
+                     unsigned Workers, bool WithFaults) {
   ServiceChaosPlan Chaos = ServiceChaosPlan::random(Seed, Workers);
-  if (SkewSubmission)
-    Chaos.Stalls.push_back({/*Worker=*/0, /*AtRequest=*/1,
-                            /*StallMicros=*/1000 + 200 * (Seed % 10)});
   robust::FaultPlan Faults =
       robust::FaultPlan::random(Seed * 0x9E3779B97F4A7C15ull + 1);
 
@@ -164,8 +153,6 @@ std::string runTrial(const TrialCorpus &Corpus, uint64_t Seed,
   Opts.PinWorkers = false;
   Opts.QueueCapacity = 2 * Corpus.size(); // no queue_full in this battery
   Opts.PublishInterval = 4;
-  Opts.Scheduler = Sched;
-  Opts.AllowColdSteal = ColdSteal;
   Opts.Chaos = &Chaos;
   if (WithFaults)
     Opts.Faults = &Faults;
@@ -229,9 +216,6 @@ TEST(ServiceChaos, SeededBatteryPreservesEveryInvariant) {
   TrialCorpus Corpus;
   // 3 worker counts x 2 fault modes x 35 seeds = 210 seeded trials, each
   // a full service lifecycle under a distinct (chaos plan, fault plan).
-  // Seed parity picks the scheduler backend, so both FifoAffinity and
-  // StealEdf absorb the full chaos spectrum; odd StealEdf cells also
-  // alternate the cold-steal knob.
   const unsigned WorkerCounts[] = {1, 2, 4};
   const uint64_t SeedsPerCell = 35;
   size_t Trials = 0;
@@ -239,19 +223,13 @@ TEST(ServiceChaos, SeededBatteryPreservesEveryInvariant) {
     for (int FaultMode = 0; FaultMode < 2; ++FaultMode)
       for (uint64_t Cell = 0; Cell < SeedsPerCell; ++Cell) {
         uint64_t Seed = 1000 * Workers + 100 * FaultMode + Cell;
-        SchedulerBackend Sched = Cell % 2 == 0
-                                     ? SchedulerBackend::FifoAffinity
-                                     : SchedulerBackend::StealEdf;
-        bool ColdSteal = Cell % 4 == 3;
-        std::string Violation = runTrial(Corpus, Seed, Workers,
-                                         FaultMode == 1, Sched, ColdSteal);
+        std::string Violation =
+            runTrial(Corpus, Seed, Workers, FaultMode == 1);
         ++Trials;
         if (!Violation.empty()) {
           std::ostringstream Repro;
           Repro << "seed=" << Seed << " workers=" << Workers
-                << " faults=" << FaultMode
-                << " sched=" << schedulerBackendName(Sched)
-                << " cold_steal=" << ColdSteal << "\n"
+                << " faults=" << FaultMode << "\n"
                 << Violation << "\n";
           writeChaosArtifact("chaos_failure_seed" + std::to_string(Seed) +
                                  ".txt",
@@ -260,162 +238,6 @@ TEST(ServiceChaos, SeededBatteryPreservesEveryInvariant) {
         }
       }
   EXPECT_GE(Trials, 200u);
-}
-
-TEST(ServiceChaos, StealingBatteryPreservesEveryInvariant) {
-  // The stealing battery: StealEdf pinned, skewed submission pressure (a
-  // long stall on worker 0 while the front-loaded chain stream lands on
-  // it), seeded deaths and parse faults composed on top. This is where
-  // death-mid-steal and steal-racing-drain interleavings live: thieves
-  // cross the stripe locks while owners die, respawn, and drain.
-  //  2 worker counts x 2 steal modes x 2 fault modes x 15 seeds = 120.
-  TrialCorpus Corpus;
-  const unsigned WorkerCounts[] = {2, 4};
-  const uint64_t SeedsPerCell = 15;
-  size_t Trials = 0;
-  for (unsigned Workers : WorkerCounts)
-    for (int Cold = 0; Cold < 2; ++Cold)
-      for (int FaultMode = 0; FaultMode < 2; ++FaultMode)
-        for (uint64_t Cell = 0; Cell < SeedsPerCell; ++Cell) {
-          uint64_t Seed =
-              50000 + 1000 * Workers + 200 * Cold + 100 * FaultMode + Cell;
-          std::string Violation = runTrial(
-              Corpus, Seed, Workers, FaultMode == 1,
-              SchedulerBackend::StealEdf, Cold == 1, /*SkewSubmission=*/true);
-          ++Trials;
-          if (!Violation.empty()) {
-            std::ostringstream Repro;
-            Repro << "seed=" << Seed << " workers=" << Workers
-                  << " cold_steal=" << Cold << " faults=" << FaultMode
-                  << " skew=1\n"
-                  << Violation << "\n";
-            writeChaosArtifact("chaos_steal_failure_seed" +
-                                   std::to_string(Seed) + ".txt",
-                               Repro.str());
-            FAIL() << "stealing chaos trial violated an invariant: "
-                   << Repro.str();
-          }
-        }
-  EXPECT_EQ(Trials, 120u);
-}
-
-TEST(ServiceChaos, StealsDrainAStalledWorkersBacklogExactlyOnce) {
-  // Directed steal: one worker stalls 200ms on its first request while
-  // eleven more chain words pile into its pending set; the other worker
-  // serves no grammar of its own (chain homes only on worker 0 with two
-  // grammars registered), so every request it completes is a cold steal.
-  // Steals must happen, every response must be exactly-once and
-  // reference-identical, and each steal must emit one StealTaken event.
-  TrialCorpus Corpus;
-  ServiceChaosPlan Chaos;
-  Chaos.Stalls.push_back({/*Worker=*/0, /*AtRequest=*/1,
-                          /*StallMicros=*/200000});
-
-  ServiceOptions Opts;
-  Opts.Workers = 2;
-  Opts.PinWorkers = false;
-  Opts.QueueCapacity = 64;
-  Opts.Scheduler = SchedulerBackend::StealEdf;
-  Opts.AllowColdSteal = true;
-  Opts.CollectTrace = true;
-  Opts.Chaos = &Chaos;
-  ParseService S(Opts);
-  uint32_t ChainId = S.addGrammar(Corpus.Chain.G, Corpus.Chain.S);
-  (void)S.addGrammar(Corpus.Paren.G, Corpus.Paren.P);
-  S.start();
-
-  // Twelve chain requests, all routed to worker 0 (the only chain home).
-  constexpr size_t N = 12;
-  std::vector<std::atomic<uint32_t>> Hits(N);
-  std::vector<Response> Responses(N);
-  for (size_t I = 0; I < N; ++I) {
-    Request R;
-    R.Id = I;
-    R.GrammarId = ChainId;
-    R.Input = &Corpus.Words[I % 10]; // the chain accept words
-    ASSERT_EQ(S.submit(R, [&, I](Response &&Resp) {
-      EXPECT_EQ(Hits[I].fetch_add(1, std::memory_order_relaxed), 0u);
-      Responses[I] = std::move(Resp);
-    }),
-              ResponseStatus::Done);
-  }
-  S.drain();
-
-  for (size_t I = 0; I < N; ++I) {
-    ASSERT_EQ(Hits[I].load(), 1u) << "request " << I;
-    ASSERT_EQ(Responses[I].Status, ResponseStatus::Done);
-    ASSERT_TRUE(Responses[I].Result.has_value());
-    const ParseResult &Ref = Corpus.Refs[I % 10];
-    ASSERT_EQ(Responses[I].Result->kind(), Ref.kind());
-    EXPECT_TRUE(treeEquals(Responses[I].Result->tree(), Ref.tree()));
-  }
-
-  // Eleven requests sat behind the stall with an idle peer: stealing is
-  // not optional here.
-  uint64_t Steals = S.report().Metrics.counter("service.steals");
-  EXPECT_GE(Steals, 1u);
-  size_t StealEvents = 0;
-  for (const obs::TraceEvent &E : S.report().Trace)
-    if (E.Kind == obs::EventKind::StealTaken) {
-      ++StealEvents;
-      EXPECT_EQ(E.Word, UINT32_MAX);
-      EXPECT_EQ(E.A, 1u); // the idle worker is the only possible thief
-      EXPECT_EQ(E.B, 0u); // ... and the stalled worker the only victim
-    }
-  EXPECT_EQ(StealEvents, Steals);
-}
-
-TEST(ServiceChaos, StealRacesDrainWithoutLossAcrossSeeds) {
-  // Steal-racing-drain, isolated: pile both grammars' requests up, then
-  // drain immediately — owners and thieves race over the stripe locks to
-  // empty the pending sets while Stopping flips. Ten seeded repetitions
-  // with random chaos plans layer deaths over the race (death-mid-steal:
-  // a thief's victim dies and respawns while the thief holds its loot).
-  TrialCorpus Corpus;
-  for (uint64_t Seed = 0; Seed < 10; ++Seed) {
-    ServiceChaosPlan Chaos = ServiceChaosPlan::random(90000 + Seed, 4);
-
-    ServiceOptions Opts;
-    Opts.Workers = 4;
-    Opts.PinWorkers = false;
-    Opts.QueueCapacity = 8 * Corpus.size();
-    Opts.Scheduler = SchedulerBackend::StealEdf;
-    Opts.AllowColdSteal = Seed % 2 == 1;
-    Opts.Chaos = &Chaos;
-    ParseService S(Opts);
-    uint32_t ChainId = S.addGrammar(Corpus.Chain.G, Corpus.Chain.S);
-    uint32_t ParenId = S.addGrammar(Corpus.Paren.G, Corpus.Paren.P);
-    S.start();
-
-    const size_t Reps = 6;
-    const size_t N = Reps * Corpus.size();
-    std::vector<std::atomic<uint32_t>> Hits(N);
-    std::vector<Response> Responses(N);
-    for (size_t I = 0; I < N; ++I) {
-      size_t W = I % Corpus.size();
-      Request R;
-      R.Id = I;
-      R.GrammarId = Corpus.Gram[W] == 0 ? ChainId : ParenId;
-      R.Input = &Corpus.Words[W];
-      ASSERT_EQ(S.submit(R, [&, I](Response &&Resp) {
-        EXPECT_EQ(Hits[I].fetch_add(1, std::memory_order_relaxed), 0u);
-        Responses[I] = std::move(Resp);
-      }),
-                ResponseStatus::Done);
-    }
-    S.drain(); // immediately: the whole backlog drains under Stopping
-
-    for (size_t I = 0; I < N; ++I) {
-      ASSERT_EQ(Hits[I].load(), 1u) << "seed " << Seed << " request " << I;
-      ASSERT_EQ(Responses[I].Status, ResponseStatus::Done);
-      ASSERT_TRUE(Responses[I].Result.has_value());
-      const ParseResult &Ref = Corpus.Refs[I % Corpus.size()];
-      ASSERT_EQ(Responses[I].Result->kind(), Ref.kind());
-      if (Ref.accepted()) {
-        EXPECT_TRUE(treeEquals(Responses[I].Result->tree(), Ref.tree()));
-      }
-    }
-  }
 }
 
 TEST(ServiceChaos, ScriptedDeathsRespawnDeterministically) {
@@ -475,95 +297,79 @@ TEST(ServiceChaos, ScriptedDeathsRespawnDeterministically) {
 }
 
 TEST(ServiceChaos, DeadlineStormNeverLosesOrDoublesAResponse) {
-  // A storm of near-zero deadlines, on both scheduler backends: the
-  // service may answer each request with Done (possibly
-  // BudgetExceeded{Deadline}), Expired, or a deadline rejection — but
-  // exactly one of those, for every single request, and the storm must
-  // not crash workers or wedge drain. Under StealEdf this is the EDF
-  // heap's stress test: pending sets hold hundreds of near-identical
-  // deadlines mixed with deadline-free entries, and popping must stay
-  // exactly-once through the churn.
+  // A storm of near-zero deadlines: the service may answer each request
+  // with Done (possibly BudgetExceeded{Deadline}), Expired, or a deadline
+  // rejection — but exactly one of those, for every single request, and
+  // the storm must not crash workers or wedge drain.
   ChainGrammar C;
   std::vector<Word> Words;
   for (size_t I = 0; I < 8; ++I)
     Words.push_back(C.word(4 + 40 * I));
 
-  for (SchedulerBackend Sched :
-       {SchedulerBackend::FifoAffinity, SchedulerBackend::StealEdf}) {
-    SCOPED_TRACE(schedulerBackendName(Sched));
-    ServiceOptions Opts;
-    Opts.Workers = 2;
-    Opts.PinWorkers = false;
-    // Room for the whole storm: this test is about deadlines, so capacity
-    // refusals and shedding are kept out of the picture.
-    Opts.QueueCapacity = 512;
-    Opts.Scheduler = Sched;
-    ParseService S(Opts);
-    uint32_t Gid = S.addGrammar(C.G, C.S);
-    S.start();
+  ServiceOptions Opts;
+  Opts.Workers = 2;
+  Opts.PinWorkers = false;
+  // Room for the whole storm: this test is about deadlines, so capacity
+  // refusals and shedding are kept out of the picture.
+  Opts.QueueCapacity = 512;
+  ParseService S(Opts);
+  uint32_t Gid = S.addGrammar(C.G, C.S);
+  S.start();
 
-    constexpr size_t N = 400;
-    std::vector<std::atomic<uint32_t>> Hits(N);
-    std::vector<ResponseStatus> Statuses(N, ResponseStatus::Rejected);
-    std::vector<uint8_t> BudgetTripped(N, 0);
-    for (size_t I = 0; I < N; ++I) {
-      Request R;
-      R.Id = I;
-      R.GrammarId = Gid;
-      R.Input = &Words[I % Words.size()];
-      R.Class = Priority::Interactive;
-      // Every 4th request has no deadline; the rest bracket "now" tightly.
-      if (I % 4 != 0)
-        R.Deadline = Clock::now() + std::chrono::microseconds(I % 7);
-      S.submit(R, [&, I](Response &&Resp) {
-        EXPECT_EQ(Hits[I].fetch_add(1, std::memory_order_relaxed), 0u);
-        Statuses[I] = Resp.Status;
-        if (Resp.Status == ResponseStatus::Done) {
-          ASSERT_TRUE(Resp.Result.has_value());
-          BudgetTripped[I] =
-              Resp.Result->kind() == ParseResult::Kind::BudgetExceeded;
-          if (BudgetTripped[I])
-            EXPECT_EQ(Resp.Result->budget().Reason,
-                      robust::BudgetReason::Deadline);
-          else
-            EXPECT_EQ(Resp.Result->kind(), ParseResult::Kind::Unique);
-        }
-      });
-    }
-    S.drain();
+  constexpr size_t N = 400;
+  std::vector<std::atomic<uint32_t>> Hits(N);
+  std::vector<ResponseStatus> Statuses(N, ResponseStatus::Rejected);
+  std::vector<uint8_t> BudgetTripped(N, 0);
+  for (size_t I = 0; I < N; ++I) {
+    Request R;
+    R.Id = I;
+    R.GrammarId = Gid;
+    R.Input = &Words[I % Words.size()];
+    R.Class = Priority::Interactive;
+    // Every 4th request has no deadline; the rest bracket "now" tightly.
+    if (I % 4 != 0)
+      R.Deadline = Clock::now() + std::chrono::microseconds(I % 7);
+    S.submit(R, [&, I](Response &&Resp) {
+      EXPECT_EQ(Hits[I].fetch_add(1, std::memory_order_relaxed), 0u);
+      Statuses[I] = Resp.Status;
+      if (Resp.Status == ResponseStatus::Done) {
+        ASSERT_TRUE(Resp.Result.has_value());
+        BudgetTripped[I] =
+            Resp.Result->kind() == ParseResult::Kind::BudgetExceeded;
+        if (BudgetTripped[I])
+          EXPECT_EQ(Resp.Result->budget().Reason,
+                    robust::BudgetReason::Deadline);
+        else
+          EXPECT_EQ(Resp.Result->kind(), ParseResult::Kind::Unique);
+      }
+    });
+  }
+  S.drain();
 
-    size_t Done = 0, Expired = 0, Rejected = 0;
-    for (size_t I = 0; I < N; ++I) {
-      ASSERT_EQ(Hits[I].load(), 1u) << "request " << I;
-      switch (Statuses[I]) {
-      case ResponseStatus::Done:
-        ++Done;
-        break;
-      case ResponseStatus::Expired:
-        ++Expired;
-        break;
-      case ResponseStatus::Rejected:
-        ++Rejected;
-        break;
-      default:
-        FAIL() << "request " << I << " unexpected status "
-               << responseStatusName(Statuses[I]);
-      }
-      // No-deadline requests always parse to completion.
-      if (I % 4 == 0) {
-        EXPECT_EQ(Statuses[I], ResponseStatus::Done);
-        EXPECT_FALSE(BudgetTripped[I]);
-      }
+  size_t Done = 0, Expired = 0, Rejected = 0;
+  for (size_t I = 0; I < N; ++I) {
+    ASSERT_EQ(Hits[I].load(), 1u) << "request " << I;
+    switch (Statuses[I]) {
+    case ResponseStatus::Done:
+      ++Done;
+      break;
+    case ResponseStatus::Expired:
+      ++Expired;
+      break;
+    case ResponseStatus::Rejected:
+      ++Rejected;
+      break;
+    default:
+      FAIL() << "request " << I << " unexpected status "
+             << responseStatusName(Statuses[I]);
     }
-    EXPECT_EQ(Done + Expired + Rejected, N);
-    // The no-deadline quarter survives any storm.
-    EXPECT_GE(Done, N / 4);
-    // EDF reorders deadline-carrying work ahead of the deadline-free
-    // quarter whenever both are pending — across 400 requests on two
-    // workers, that interleaving is unavoidable and counted.
-    if (Sched == SchedulerBackend::StealEdf) {
-      EXPECT_GE(S.report().Metrics.counter("service.edf_inversions_avoided"),
-                1u);
+    // No-deadline requests always parse to completion.
+    if (I % 4 == 0) {
+      EXPECT_EQ(Statuses[I], ResponseStatus::Done);
+      EXPECT_FALSE(BudgetTripped[I]);
     }
   }
+  EXPECT_EQ(Done + Expired + Rejected, N);
+  // The no-deadline quarter survives any storm.
+  EXPECT_GE(Done, N / 4);
 }

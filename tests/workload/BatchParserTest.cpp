@@ -244,10 +244,10 @@ TEST(BatchParser, ServicePathMatchesFlatPoolWithDeadlinesAndPriorities) {
   // The same differential, but the service side carries what the batch
   // mapping strips: per-request deadlines (generous — a minute against
   // microsecond parses, so admission always accepts) and a mixed
-  // Interactive/Batch/BestEffort priority cycle. Run it on both
-  // scheduler backends: deadlines reorder EDF draining and priorities
-  // feed shedding bookkeeping, but neither may leak into results —
-  // every tree stays bit-identical to the flat-pool parse.
+  // Interactive/Batch/BestEffort priority cycle. Deadlines walk the
+  // admission path and priorities feed shedding bookkeeping, but neither
+  // may leak into results — every tree stays bit-identical to the
+  // flat-pool parse.
   std::mt19937_64 Rng(1313);
   for (int Trial = 0; Trial < 2; ++Trial) {
     Grammar G = randomNonLeftRecursiveGrammar(Rng);
@@ -260,65 +260,57 @@ TEST(BatchParser, ServicePathMatchesFlatPoolWithDeadlinesAndPriorities) {
     FlatPool.UseService = false;
     workload::BatchResult RF = P.parseAll(Corpus, FlatPool);
 
-    for (service::SchedulerBackend Sched :
-         {service::SchedulerBackend::FifoAffinity,
-          service::SchedulerBackend::StealEdf}) {
-      SCOPED_TRACE(service::schedulerBackendName(Sched));
-      // Batch-parity service config (mirrors BatchParser::runService),
-      // except deadline admission stays on so the deadlines below walk
-      // the real feasibility path.
-      service::ServiceOptions SO;
-      SO.Workers = 4;
-      SO.PinWorkers = false;
-      SO.QueueCapacity = 2 * Corpus.size();
-      SO.PublishInterval = 3;
-      SO.Retry.MaxRetries = 0;
-      SO.BreakerThreshold = 0;
-      SO.ShedBestEffortAt = 2.0;
-      SO.ShedBatchAt = 2.0;
-      SO.Scheduler = Sched;
-      SO.AllowColdSteal = true;
-      service::ParseService S(SO);
-      uint32_t Gid = S.addGrammar(G, 0, nullptr, &P.tables());
-      S.start();
+    // Batch-parity service config (mirrors BatchParser::runService),
+    // except deadline admission stays on so the deadlines below walk
+    // the real feasibility path.
+    service::ServiceOptions SO;
+    SO.Workers = 4;
+    SO.PinWorkers = false;
+    SO.QueueCapacity = 2 * Corpus.size();
+    SO.PublishInterval = 3;
+    SO.Retry.MaxRetries = 0;
+    SO.BreakerThreshold = 0;
+    SO.ShedBestEffortAt = 2.0;
+    SO.ShedBatchAt = 2.0;
+    service::ParseService S(SO);
+    uint32_t Gid = S.addGrammar(G, 0, nullptr, &P.tables());
+    S.start();
 
-      const size_t N = Corpus.size();
-      std::vector<std::optional<ParseResult>> Buf(N);
-      for (size_t I = 0; I < N; ++I) {
-        service::Request Req;
-        Req.Id = I;
-        Req.GrammarId = Gid;
-        Req.Input = &Corpus[I];
-        switch (I % 3) {
-        case 0:
-          Req.Class = service::Priority::Interactive;
-          break;
-        case 1:
-          Req.Class = service::Priority::Batch;
-          break;
-        case 2:
-          Req.Class = service::Priority::BestEffort;
-          break;
-        }
-        if (I % 2 == 0)
-          Req.Deadline =
-              service::Clock::now() + std::chrono::seconds(60);
-        service::ResponseStatus St =
-            S.submit(std::move(Req), [&Buf, I](service::Response &&Resp) {
-              if (Resp.Result)
-                Buf[I] = std::move(*Resp.Result);
-            });
-        ASSERT_EQ(St, service::ResponseStatus::Done) << "request " << I;
+    const size_t N = Corpus.size();
+    std::vector<std::optional<ParseResult>> Buf(N);
+    for (size_t I = 0; I < N; ++I) {
+      service::Request Req;
+      Req.Id = I;
+      Req.GrammarId = Gid;
+      Req.Input = &Corpus[I];
+      switch (I % 3) {
+      case 0:
+        Req.Class = service::Priority::Interactive;
+        break;
+      case 1:
+        Req.Class = service::Priority::Batch;
+        break;
+      case 2:
+        Req.Class = service::Priority::BestEffort;
+        break;
       }
-      S.drain();
+      if (I % 2 == 0)
+        Req.Deadline = service::Clock::now() + std::chrono::seconds(60);
+      service::ResponseStatus St =
+          S.submit(std::move(Req), [&Buf, I](service::Response &&Resp) {
+            if (Resp.Result)
+              Buf[I] = std::move(*Resp.Result);
+          });
+      ASSERT_EQ(St, service::ResponseStatus::Done) << "request " << I;
+    }
+    S.drain();
 
-      for (size_t I = 0; I < N; ++I) {
-        ASSERT_TRUE(Buf[I].has_value()) << "request " << I;
-        ASSERT_EQ(Buf[I]->kind(), RF.Results[I].kind()) << "request " << I;
-        if (RF.Results[I].accepted()) {
-          EXPECT_TRUE(treeEquals(Buf[I]->tree(), RF.Results[I].tree()))
-              << "request " << I;
-        }
+    for (size_t I = 0; I < N; ++I) {
+      ASSERT_TRUE(Buf[I].has_value()) << "request " << I;
+      ASSERT_EQ(Buf[I]->kind(), RF.Results[I].kind()) << "request " << I;
+      if (RF.Results[I].accepted()) {
+        EXPECT_TRUE(treeEquals(Buf[I]->tree(), RF.Results[I].tree()))
+            << "request " << I;
       }
     }
   }
