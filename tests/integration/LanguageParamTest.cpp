@@ -32,9 +32,18 @@ using namespace costar::lang;
 namespace {
 
 struct LangSeedParam {
+  LangSeedParam(LangId Id, uint64_t Seed) : Id(Id), Seed(Seed) {}
+
   LangId Id;
+  // GoogleTest has no printer for this struct, so it spells the raw bytes
+  // into every test's listed name; an explicit zero field in place of the
+  // implicit padding keeps those names identical from run to run.
+  uint32_t Reserved = 0;
   uint64_t Seed;
 };
+static_assert(sizeof(LangSeedParam) ==
+                  sizeof(LangId) + sizeof(uint32_t) + sizeof(uint64_t),
+              "LangSeedParam must have no implicit padding bytes");
 
 std::string paramName(const testing::TestParamInfo<LangSeedParam> &Info) {
   return std::string(langName(Info.param.Id)) + "_seed" +
