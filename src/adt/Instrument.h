@@ -82,7 +82,7 @@ struct AllocationCounters {
 };
 
 /// Thread-local counters for the flat-table fast paths (bitset FIRST/FOLLOW
-/// membership, table-driven SWAR/SIMD lexing). The differential story mirrors
+/// membership, table-driven SWAR lexing). The differential story mirrors
 /// ComparisonCounters: the set-backed baseline bumps nonterminal()/cacheKey()
 /// through CountingLess, the flat paths bump these, and a profile harness can
 /// report how much of the paper's Section 6.1 comparison traffic moved onto
@@ -105,11 +105,6 @@ struct TableCounters {
     thread_local uint64_t Count = 0;
     return Count;
   }
-  /// Input bytes consumed by the SIMD (shuffle) lexer path.
-  static uint64_t &lexSimdBytes() {
-    thread_local uint64_t Count = 0;
-    return Count;
-  }
   /// Input bytes consumed by the scalar paper-faithful lexer path.
   static uint64_t &lexScalarBytes() {
     thread_local uint64_t Count = 0;
@@ -119,7 +114,6 @@ struct TableCounters {
     firstBitTests() = 0;
     followBitTests() = 0;
     lexSwarBytes() = 0;
-    lexSimdBytes() = 0;
     lexScalarBytes() = 0;
   }
 };

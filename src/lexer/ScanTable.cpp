@@ -10,16 +10,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <map>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <tmmintrin.h>
-#endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#endif
 
 using namespace costar;
 using namespace costar::lexer;
@@ -28,49 +20,10 @@ using namespace costar::lexer;
 // Backend resolution
 //===----------------------------------------------------------------------===//
 
-bool costar::lexer::cpuSupportsShuffle() {
-#if defined(__aarch64__)
-  return true; // TBL is baseline AArch64
-#elif (defined(__x86_64__) || defined(__i386__)) &&                           \
-    (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("ssse3");
-#else
-  return false;
-#endif
-}
-
-LexBackend costar::lexer::resolveLexBackend(LexBackend Requested,
-                                            bool ShengCapable) {
-  // The DFA's shape no longer gates the Simd backend: the truffle run
-  // scanner handles any state count, and matchSimd picks sheng internally
-  // for the tiny DFAs ShengCapable describes.
-  (void)ShengCapable;
-  LexBackend B = Requested;
-  if (B == LexBackend::Auto)
-    B = LexBackend::Simd;
-  if (B == LexBackend::Simd && !cpuSupportsShuffle())
-    B = LexBackend::Swar;
-  return B;
-}
-
-LexBackend costar::lexer::defaultLexBackend(bool ShengCapable) {
-  // Read once per process: the override exists so CI's portable-build job
-  // can pin every freshly built scanner to a fallback path; per-call
-  // switching goes through Scanner::setLexBackend, which ignores it.
-  static const LexBackend Env = [] {
-    const char *E = std::getenv("COSTAR_LEX_BACKEND");
-    if (!E)
-      return LexBackend::Auto;
-    std::string V(E);
-    if (V == "scalar")
-      return LexBackend::ScalarPaperFaithful;
-    if (V == "swar")
-      return LexBackend::Swar;
-    if (V == "simd")
-      return LexBackend::Simd;
-    return LexBackend::Auto;
-  }();
-  return resolveLexBackend(Env, ShengCapable);
+LexBackend costar::lexer::resolveLexBackend(LexBackend Requested) {
+  return Requested == LexBackend::ScalarPaperFaithful
+             ? LexBackend::ScalarPaperFaithful
+             : LexBackend::Swar;
 }
 
 //===----------------------------------------------------------------------===//
@@ -158,57 +111,16 @@ ScanTable::ScanTable(const Dfa &D) {
       }
     }
   }
-
-  // Truffle tables: each state's exact 256-bit self-loop byte set as two
-  // 16-byte shuffle tables (low nibble selects the entry, the entry's bit
-  // h means byte (h << 4) | low — first table covers high nibbles 0-7,
-  // second 8-15). The vector run scanner ANDs shuffled entries against
-  // the high nibble's bit to test 16 bytes at once.
-  Truffle.assign(static_cast<size_t>(NumStates) * 32, 0);
-  TruffleOff.assign(static_cast<size_t>(NumStates) * NumClasses, 0);
-  for (uint32_t S = 0; S < RealStates; ++S) {
-    TruffleOff[static_cast<size_t>(S) * NumClasses] = S * 32;
-    const int32_t *Row = D.row(S);
-    uint8_t *T = Truffle.data() + static_cast<size_t>(S) * 32;
-    for (uint32_t B = 0; B < 256; ++B) {
-      if (Row[B] != static_cast<int32_t>(S))
-        continue;
-      uint32_t Hi = B >> 4, Lo = B & 0xF;
-      T[(Hi < 8 ? 0 : 16) + Lo] |= uint8_t(1u << (Hi & 7));
-    }
-  }
-
-  if (shengCapable()) {
-    Shuffle.assign(static_cast<size_t>(NumClasses) * MaxShengStates,
-                   static_cast<uint8_t>(DeadIdx));
-    for (uint32_t S = 0; S < RealStates; ++S) {
-      const int32_t *Row = D.row(S);
-      for (uint32_t C = 0; C < 256; ++C) {
-        int32_t T = Row[C];
-        Shuffle[static_cast<size_t>(ClassOf[C]) * MaxShengStates + S] =
-            static_cast<uint8_t>(T == Dfa::DeadState ? DeadIdx : T);
-      }
-    }
-    // Dead lanes already self-loop via the DeadIdx fill; unused lanes
-    // beyond NumStates keep DeadIdx too, which is harmless (unreachable).
-    AcceptSmall.fill(-1);
-    for (uint32_t S = 0; S < RealStates; ++S)
-      AcceptSmall[S] = D.acceptRule(S);
-    StartSmall = static_cast<uint8_t>(D.start());
-    DeadSmall = static_cast<uint8_t>(DeadIdx);
-  }
 }
-
 
 //===----------------------------------------------------------------------===//
 // Match cores
 //===----------------------------------------------------------------------===//
 //
-// Every batched matcher is a file-static core over a context of hoisted
-// table pointers. The member functions are thin wrappers: the match*
-// entry points run one core call, and the munch* entry points loop the
-// core over a whole buffer so the per-call setup is paid once per buffer
-// instead of once per token.
+// The matchers are file-static cores over a context of hoisted table
+// pointers. The member functions are thin wrappers: matchSwar runs one
+// core call, and munchSwar loops the core over a whole buffer so the
+// per-call setup is paid once per buffer instead of once per token.
 
 namespace {
 
@@ -264,15 +176,6 @@ inline PairOutcome pairDispatch(const FlatCtx &C, const char *Data,
   return PairOutcome::Continue;
 }
 
-// walkTailT and munchCoreT below are templates over a RunScan policy:
-// given the current (self-looping) state and position, the policy advances
-// past the state's self-loop run and returns the new position. The SWAR
-// policy tests 8 bytes per uint64_t load with independent per-byte
-// class-mask probes; the vector policies (defined with function-level
-// target attributes further down) test 16 bytes per shuffle. Policies are
-// plain structs with a call operator so the shared skeleton inlines them;
-// lambdas would not work here because GCC does not propagate target
-// attributes into lambdas defined inside target functions.
 // Tests 8 input bytes against state mask \p M with fully independent
 // per-byte class probes; bit K of the result is set iff byte I+K stays in
 // the run. Requires I + 8 <= Size.
@@ -300,45 +203,43 @@ inline unsigned swarProbe8(const FlatCtx &C, uint64_t M, const char *Data,
   }
 }
 
-struct SwarRun {
-  inline size_t operator()(const FlatCtx &C, int32_t S, const char *Data,
-                           size_t Size, size_t I) const {
-    // While the state is invariant the transition chain is gone: whether a
-    // byte extends the run is one bit in this state's class mask, so 8
-    // input bytes are tested per load with fully independent probes and a
-    // single all-stay branch. String interiors, whitespace, comments, and
-    // identifier/number tails all live here.
-    uint64_t M = C.Self[S];
-    // One-byte pre-check: a state that can self-loop often still gets a
-    // zero-length run (keywords, two-digit numbers) — bail on one load
-    // instead of a full 8-byte probe.
-    if (I < Size && !((M >> C.Cls[static_cast<uint8_t>(Data[I])]) & 1))
-      return I;
-    while (I + 8 <= Size) {
-      unsigned Stay = swarProbe8(C, M, Data, I);
-      if (Stay == 0xFF) {
-        I += 8;
-        continue;
-      }
-      I += static_cast<unsigned>(std::countr_one(Stay));
-      return I;
+// Advances past state \p S's self-loop run starting at \p I and returns
+// the new position. While the state is invariant the transition chain is
+// gone: whether a byte extends the run is one bit in this state's class
+// mask, so 8 input bytes are tested per load with fully independent probes
+// and a single all-stay branch. String interiors, whitespace, comments,
+// and identifier/number tails all live here.
+inline size_t swarRun(const FlatCtx &C, int32_t S, const char *Data,
+                      size_t Size, size_t I) {
+  uint64_t M = C.Self[S];
+  // One-byte pre-check: a state that can self-loop often still gets a
+  // zero-length run (keywords, two-digit numbers) — bail on one load
+  // instead of a full 8-byte probe.
+  if (I < Size && !((M >> C.Cls[static_cast<uint8_t>(Data[I])]) & 1))
+    return I;
+  while (I + 8 <= Size) {
+    unsigned Stay = swarProbe8(C, M, Data, I);
+    if (Stay == 0xFF) {
+      I += 8;
+      continue;
     }
-    while (I < Size && ((M >> C.Cls[static_cast<uint8_t>(Data[I])]) & 1))
-      ++I;
+    I += static_cast<unsigned>(std::countr_one(Stay));
     return I;
   }
-};
+  while (I < Size && ((M >> C.Cls[static_cast<uint8_t>(Data[I])]) & 1))
+    ++I;
+  return I;
+}
 
 // Continues a maximal-munch walk from state \p S at absolute offset \p I
 // (SkipStep true when S was just entered by pair dispatch and its accept
 // is already folded in): branchy per-byte steps with branchless (cmov)
-// accept tracking, handing off to the RunScan policy whenever the current
-// state has self-loops. BestRule/BestEnd are updated in place; returns on
-// death or input end.
-template <class RunScan>
-inline void walkTailT(const FlatCtx &C, const RunScan &Run, const char *Data,
-                      size_t Size, int32_t S, size_t I, bool SkipStep,
-                      int32_t &BestRule, size_t &BestEnd) {
+// accept tracking, handing off to swarRun whenever the current state has
+// self-loops. BestRule/BestEnd are updated in place; returns on death or
+// input end.
+inline void walkTail(const FlatCtx &C, const char *Data, size_t Size,
+                     int32_t S, size_t I, bool SkipStep, int32_t &BestRule,
+                     size_t &BestEnd) {
   while (I < Size) {
     if (!SkipStep) {
       S = C.Nx[S + C.Cls[static_cast<uint8_t>(Data[I])]];
@@ -355,7 +256,7 @@ inline void walkTailT(const FlatCtx &C, const RunScan &Run, const char *Data,
     if (C.Self[S] == 0)
       continue;
     size_t RunStart = I;
-    I = Run(C, S, Data, Size, I);
+    I = swarRun(C, S, Data, Size, I);
     // Every prefix of a self-loop run re-enters the same state, so if it
     // accepts, the longest match simply extends to the run's end.
     if (I != RunStart && C.Ac[S] >= 0) {
@@ -365,10 +266,9 @@ inline void walkTailT(const FlatCtx &C, const RunScan &Run, const char *Data,
   }
 }
 
-// Single-match core: pair dispatch + walkTailT.
-template <class RunScan>
-inline ScanTable::Match coreT(const FlatCtx &C, const RunScan &Run,
-                              const char *Data, size_t Size, size_t Pos) {
+// Single-match core: pair dispatch + walkTail.
+inline ScanTable::Match core(const FlatCtx &C, const char *Data, size_t Size,
+                             size_t Pos) {
   int32_t S = C.Start;
   int32_t BestRule = -1;
   size_t BestLen = 0;
@@ -377,8 +277,8 @@ inline ScanTable::Match coreT(const FlatCtx &C, const RunScan &Run,
   PairOutcome P = pairDispatch(C, Data, Size, Pos, S, I, BestRule, BestLen);
   if (P != PairOutcome::Done) {
     size_t BestEnd = Pos + BestLen;
-    walkTailT(C, Run, Data, Size, S, I, P == PairOutcome::Continue, BestRule,
-              BestEnd);
+    walkTail(C, Data, Size, S, I, P == PairOutcome::Continue, BestRule,
+             BestEnd);
     BestLen = BestEnd - Pos;
   }
   return ScanTable::Match{BestRule, BestLen};
@@ -417,10 +317,8 @@ public:
 // is where the munch API earns its keep: real token streams average a
 // few bytes per token, so per-token control flow is the lexer's real
 // bottleneck, not the transition chain.
-template <class RunScan>
-inline size_t munchCoreT(const FlatCtx &C, const RunScan &Run,
-                         const char *Data, size_t Size,
-                         std::vector<ScanTable::TokenSpan> &Out) {
+inline size_t munchCore(const FlatCtx &C, const char *Data, size_t Size,
+                        std::vector<ScanTable::TokenSpan> &Out) {
   SpanSink Sink(Out);
   size_t Pos = 0;
   if (C.PairTab) {
@@ -448,8 +346,8 @@ inline size_t munchCoreT(const FlatCtx &C, const RunScan &Run,
       int32_t R2 = static_cast<int32_t>((E >> 25) & 0x7F) - 1;
       int32_t BestRule = R2 >= 0 ? R2 : R1;
       size_t BestEnd = R2 >= 0 ? Pos + 2 : (R1 >= 0 ? Pos + 1 : Pos);
-      walkTailT(C, Run, Data, Size, static_cast<int32_t>(E & 0xFFFF),
-                Pos + 2, /*SkipStep=*/true, BestRule, BestEnd);
+      walkTail(C, Data, Size, static_cast<int32_t>(E & 0xFFFF), Pos + 2,
+               /*SkipStep=*/true, BestRule, BestEnd);
       if (BestEnd == Pos)
         return Pos;
       Sink.emit(BestRule, static_cast<uint32_t>(BestEnd - Pos));
@@ -458,7 +356,7 @@ inline size_t munchCoreT(const FlatCtx &C, const RunScan &Run,
   }
   // Tail (and the no-pair-table shape): per-token core calls.
   while (Pos < Size) {
-    ScanTable::Match M = coreT(C, Run, Data, Size, Pos);
+    ScanTable::Match M = core(C, Data, Size, Pos);
     if (M.Rule < 0 || M.Length == 0)
       break;
     Sink.emit(M.Rule, static_cast<uint32_t>(M.Length));
@@ -475,7 +373,7 @@ ScanTable::Match ScanTable::matchSwar(const char *Data, size_t Size,
             AcceptScaled.data(), SelfMask.data(),
             Pair.empty() ? nullptr : Pair.data(), NumClasses,
             static_cast<int32_t>(DeadScaled), static_cast<int32_t>(StartScaled)};
-  return coreT(C, SwarRun{}, Data, Size, Pos);
+  return core(C, Data, Size, Pos);
 }
 
 size_t ScanTable::munchSwar(const char *Data, size_t Size,
@@ -484,349 +382,7 @@ size_t ScanTable::munchSwar(const char *Data, size_t Size,
             AcceptScaled.data(), SelfMask.data(),
             Pair.empty() ? nullptr : Pair.data(), NumClasses,
             static_cast<int32_t>(DeadScaled), static_cast<int32_t>(StartScaled)};
-  return munchCoreT(C, SwarRun{}, Data, Size, Out);
-}
-
-//===----------------------------------------------------------------------===//
-// Shuffle (sheng) matchers
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-struct ShengCtx {
-  const uint8_t *Cls;
-  const uint8_t *Tab;
-  const int32_t *Accept;
-  uint8_t Start;
-  uint8_t Dead;
-};
-
-} // namespace
-
-#if defined(__x86_64__) || defined(__i386__)
-
-// The whole transition function lives in NumClasses 16-byte registers;
-// one PSHUFB per input byte replaces the L1 table load on the critical
-// chain. State rides in lane 0; accept lookups read the extracted lane
-// off-chain.
-__attribute__((target("ssse3"))) static ScanTable::Match
-shengCoreSse(const ShengCtx &C, const char *Data, size_t Size, size_t Pos) {
-  __m128i Cur = _mm_cvtsi32_si128(C.Start);
-  int32_t BestRule = -1;
-  size_t BestLen = 0;
-  for (size_t I = Pos; I < Size; ++I) {
-    uint8_t Cl = C.Cls[static_cast<uint8_t>(Data[I])];
-    __m128i Row = _mm_loadu_si128(reinterpret_cast<const __m128i *>(
-        C.Tab + static_cast<size_t>(Cl) * ScanTable::MaxShengStates));
-    Cur = _mm_shuffle_epi8(Row, Cur);
-    uint32_t S = static_cast<uint32_t>(_mm_cvtsi128_si32(Cur)) & 0xFF;
-    if (S == C.Dead)
-      break;
-    int32_t R = C.Accept[S];
-    bool Hit = R >= 0;
-    BestRule = Hit ? R : BestRule;
-    BestLen = Hit ? I + 1 - Pos : BestLen;
-  }
-  return ScanTable::Match{BestRule, BestLen};
-}
-
-ScanTable::Match ScanTable::matchShengSse(const char *Data, size_t Size,
-                                          size_t Pos) const {
-  ShengCtx C{ClassOf.data(), Shuffle.data(), AcceptSmall.data(), StartSmall,
-             DeadSmall};
-  return shengCoreSse(C, Data, Size, Pos);
-}
-
-__attribute__((target("ssse3"))) size_t
-ScanTable::munchShengSse(const char *Data, size_t Size,
-                         std::vector<TokenSpan> &Out) const {
-  ShengCtx C{ClassOf.data(), Shuffle.data(), AcceptSmall.data(), StartSmall,
-             DeadSmall};
-  size_t Pos = 0;
-  while (Pos < Size) {
-    Match M = shengCoreSse(C, Data, Size, Pos);
-    if (M.Rule < 0 || M.Length == 0)
-      break;
-    Out.push_back(TokenSpan{M.Rule, static_cast<uint32_t>(M.Length)});
-    Pos += M.Length;
-  }
-  return Pos;
-}
-#endif
-
-#if defined(__aarch64__)
-static ScanTable::Match shengCoreNeon(const ShengCtx &C, const char *Data,
-                                      size_t Size, size_t Pos) {
-  uint8x16_t Cur = vdupq_n_u8(C.Start);
-  int32_t BestRule = -1;
-  size_t BestLen = 0;
-  for (size_t I = Pos; I < Size; ++I) {
-    uint8_t Cl = C.Cls[static_cast<uint8_t>(Data[I])];
-    uint8x16_t Row =
-        vld1q_u8(C.Tab + static_cast<size_t>(Cl) * ScanTable::MaxShengStates);
-    Cur = vqtbl1q_u8(Row, Cur);
-    uint32_t S = vgetq_lane_u8(Cur, 0);
-    if (S == C.Dead)
-      break;
-    int32_t R = C.Accept[S];
-    bool Hit = R >= 0;
-    BestRule = Hit ? R : BestRule;
-    BestLen = Hit ? I + 1 - Pos : BestLen;
-  }
-  return ScanTable::Match{BestRule, BestLen};
-}
-
-ScanTable::Match ScanTable::matchShengNeon(const char *Data, size_t Size,
-                                           size_t Pos) const {
-  ShengCtx C{ClassOf.data(), Shuffle.data(), AcceptSmall.data(), StartSmall,
-             DeadSmall};
-  return shengCoreNeon(C, Data, Size, Pos);
-}
-
-size_t ScanTable::munchShengNeon(const char *Data, size_t Size,
-                                 std::vector<TokenSpan> &Out) const {
-  ShengCtx C{ClassOf.data(), Shuffle.data(), AcceptSmall.data(), StartSmall,
-             DeadSmall};
-  size_t Pos = 0;
-  while (Pos < Size) {
-    Match M = shengCoreNeon(C, Data, Size, Pos);
-    if (M.Rule < 0 || M.Length == 0)
-      break;
-    Out.push_back(TokenSpan{M.Rule, static_cast<uint32_t>(M.Length)});
-    Pos += M.Length;
-  }
-  return Pos;
-}
-#endif
-
-//===----------------------------------------------------------------------===//
-// Truffle (vector run scanning) matchers
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-// Scalar probe of a state's truffle byte set (the vector loops' tail).
-inline bool truffleStays(const uint8_t *T, uint8_t B) {
-  uint32_t Hi = B >> 4, Lo = B & 0xF;
-  return (T[(Hi < 8 ? 0 : 16) + Lo] >> (Hi & 7)) & 1;
-}
-
-} // namespace
-
-#if defined(__x86_64__) || defined(__i386__)
-
-// Run-scan leaf: advances past the self-loop run described by the 32-byte
-// truffle table \p T, 16 bytes per iteration. Two PSHUFBs reproduce the
-// state's exact 256-bit byte set per input byte; one compare + movemask
-// decides the whole vector. Kept as a standalone target("ssse3") function
-// — the shared walk skeleton cannot hold intrinsics, and GCC will not
-// inline across mismatched target attributes, so the per-run call is the
-// price of runtime dispatch without -march.
-__attribute__((target("ssse3"))) static size_t
-truffleRunScanSse(const uint8_t *T, const char *Data, size_t Size, size_t I) {
-  const __m128i Zero = _mm_setzero_si128();
-  const __m128i Nibble = _mm_set1_epi8(0x0F);
-  const __m128i BitsLo =
-      _mm_setr_epi8(1, 2, 4, 8, 16, 32, 64, static_cast<char>(128), 0, 0, 0,
-                    0, 0, 0, 0, 0);
-  const __m128i BitsHi =
-      _mm_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 4, 8, 16, 32, 64,
-                    static_cast<char>(128));
-  __m128i T1 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(T));
-  __m128i T2 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(T + 16));
-  while (I + 16 <= Size) {
-    __m128i V = _mm_loadu_si128(reinterpret_cast<const __m128i *>(Data + I));
-    adt::prefetchRead(Data + I + 64, 0);
-    __m128i Lo = _mm_and_si128(V, Nibble);
-    __m128i Hi = _mm_and_si128(_mm_srli_epi16(V, 4), Nibble);
-    __m128i Res = _mm_or_si128(
-        _mm_and_si128(_mm_shuffle_epi8(T1, Lo), _mm_shuffle_epi8(BitsLo, Hi)),
-        _mm_and_si128(_mm_shuffle_epi8(T2, Lo),
-                      _mm_shuffle_epi8(BitsHi, Hi)));
-    int NotStay = _mm_movemask_epi8(_mm_cmpeq_epi8(Res, Zero));
-    if (NotStay != 0)
-      return I + static_cast<unsigned>(
-                     std::countr_zero(static_cast<unsigned>(NotStay)));
-    I += 16;
-  }
-  while (I < Size && truffleStays(T, static_cast<uint8_t>(Data[I])))
-    ++I;
-  return I;
-}
-
-namespace {
-
-struct TruffleRunSse {
-  const uint32_t *TOff;
-  const uint8_t *Tab;
-  inline size_t operator()(const FlatCtx &C, int32_t S, const char *Data,
-                           size_t Size, size_t I) const {
-    // Hybrid: one inline SWAR probe first. Most runs — identifier and
-    // number tails — are under 8 bytes and finish here; only runs that
-    // survive all 8 bytes (string interiors, comments, indentation) pay
-    // the out-of-line vector call, which GCC cannot inline across the
-    // target("ssse3") boundary.
-    uint64_t M = C.Self[S];
-    // One-byte pre-check (see SwarRun): zero-length runs bail on one load.
-    if (I < Size && !((M >> C.Cls[static_cast<uint8_t>(Data[I])]) & 1))
-      return I;
-    if (I + 8 > Size) {
-      while (I < Size && ((M >> C.Cls[static_cast<uint8_t>(Data[I])]) & 1))
-        ++I;
-      return I;
-    }
-    unsigned Stay = swarProbe8(C, M, Data, I);
-    if (Stay != 0xFF)
-      return I + static_cast<unsigned>(std::countr_one(Stay));
-    return truffleRunScanSse(Tab + TOff[S], Data, Size, I + 8);
-  }
-};
-
-} // namespace
-
-ScanTable::Match ScanTable::matchTruffleSse(const char *Data, size_t Size,
-                                            size_t Pos) const {
-  FlatCtx C{ClassOf.data(), Next.data(),
-            AcceptScaled.data(), SelfMask.data(),
-            Pair.empty() ? nullptr : Pair.data(), NumClasses,
-            static_cast<int32_t>(DeadScaled),
-            static_cast<int32_t>(StartScaled)};
-  return coreT(C, TruffleRunSse{TruffleOff.data(), Truffle.data()}, Data,
-               Size, Pos);
-}
-
-size_t ScanTable::munchTruffleSse(const char *Data, size_t Size,
-                                  std::vector<TokenSpan> &Out) const {
-  FlatCtx C{ClassOf.data(), Next.data(),
-            AcceptScaled.data(), SelfMask.data(),
-            Pair.empty() ? nullptr : Pair.data(), NumClasses,
-            static_cast<int32_t>(DeadScaled),
-            static_cast<int32_t>(StartScaled)};
-  return munchCoreT(C, TruffleRunSse{TruffleOff.data(), Truffle.data()}, Data,
-                    Size, Out);
-}
-#endif
-
-#if defined(__aarch64__)
-
-// NEON run-scan leaf; the movemask substitute narrows the per-byte
-// not-stay lanes to a nibble-per-byte 64-bit mask via vshrn.
-static size_t truffleRunScanNeon(const uint8_t *T, const char *Data,
-                                 size_t Size, size_t I) {
-  const uint8x16_t Nibble = vdupq_n_u8(0x0F);
-  const uint8_t BitsLoArr[16] = {1, 2, 4, 8, 16, 32, 64, 128,
-                                 0, 0, 0, 0, 0,  0,  0,  0};
-  const uint8_t BitsHiArr[16] = {0, 0, 0, 0, 0,  0,  0,  0,
-                                 1, 2, 4, 8, 16, 32, 64, 128};
-  const uint8x16_t BitsLo = vld1q_u8(BitsLoArr);
-  const uint8x16_t BitsHi = vld1q_u8(BitsHiArr);
-  uint8x16_t T1 = vld1q_u8(T);
-  uint8x16_t T2 = vld1q_u8(T + 16);
-  while (I + 16 <= Size) {
-    uint8x16_t V = vld1q_u8(reinterpret_cast<const uint8_t *>(Data + I));
-    adt::prefetchRead(Data + I + 64, 0);
-    uint8x16_t Lo = vandq_u8(V, Nibble);
-    uint8x16_t Hi = vshrq_n_u8(V, 4);
-    uint8x16_t Res =
-        vorrq_u8(vandq_u8(vqtbl1q_u8(T1, Lo), vqtbl1q_u8(BitsLo, Hi)),
-                 vandq_u8(vqtbl1q_u8(T2, Lo), vqtbl1q_u8(BitsHi, Hi)));
-    uint8x16_t NotStay = vceqq_u8(Res, vdupq_n_u8(0));
-    uint64_t Mask = vget_lane_u64(
-        vreinterpret_u64_u8(vshrn_n_u16(vreinterpretq_u16_u8(NotStay), 4)),
-        0);
-    if (Mask != 0)
-      return I + static_cast<unsigned>(std::countr_zero(Mask)) / 4;
-    I += 16;
-  }
-  while (I < Size && truffleStays(T, static_cast<uint8_t>(Data[I])))
-    ++I;
-  return I;
-}
-
-namespace {
-
-struct TruffleRunNeon {
-  const uint32_t *TOff;
-  const uint8_t *Tab;
-  inline size_t operator()(const FlatCtx &C, int32_t S, const char *Data,
-                           size_t Size, size_t I) const {
-    // Hybrid first probe, as in TruffleRunSse: sub-8-byte runs finish
-    // inline; longer ones hand off to the vector leaf.
-    uint64_t M = C.Self[S];
-    // One-byte pre-check (see SwarRun): zero-length runs bail on one load.
-    if (I < Size && !((M >> C.Cls[static_cast<uint8_t>(Data[I])]) & 1))
-      return I;
-    if (I + 8 > Size) {
-      while (I < Size && ((M >> C.Cls[static_cast<uint8_t>(Data[I])]) & 1))
-        ++I;
-      return I;
-    }
-    unsigned Stay = swarProbe8(C, M, Data, I);
-    if (Stay != 0xFF)
-      return I + static_cast<unsigned>(std::countr_one(Stay));
-    return truffleRunScanNeon(Tab + TOff[S], Data, Size, I + 8);
-  }
-};
-
-} // namespace
-
-ScanTable::Match ScanTable::matchTruffleNeon(const char *Data, size_t Size,
-                                             size_t Pos) const {
-  FlatCtx C{ClassOf.data(), Next.data(),
-            AcceptScaled.data(), SelfMask.data(),
-            Pair.empty() ? nullptr : Pair.data(), NumClasses,
-            static_cast<int32_t>(DeadScaled),
-            static_cast<int32_t>(StartScaled)};
-  return coreT(C, TruffleRunNeon{TruffleOff.data(), Truffle.data()}, Data,
-               Size, Pos);
-}
-
-size_t ScanTable::munchTruffleNeon(const char *Data, size_t Size,
-                                   std::vector<TokenSpan> &Out) const {
-  FlatCtx C{ClassOf.data(), Next.data(),
-            AcceptScaled.data(), SelfMask.data(),
-            Pair.empty() ? nullptr : Pair.data(), NumClasses,
-            static_cast<int32_t>(DeadScaled),
-            static_cast<int32_t>(StartScaled)};
-  return munchCoreT(C, TruffleRunNeon{TruffleOff.data(), Truffle.data()},
-                    Data, Size, Out);
-}
-#endif
-
-//===----------------------------------------------------------------------===//
-// Vector dispatch
-//===----------------------------------------------------------------------===//
-
-ScanTable::Match ScanTable::matchSimd(const char *Data, size_t Size,
-                                      size_t Pos) const {
-#if defined(__x86_64__) || defined(__i386__)
-  if (cpuSupportsShuffle()) {
-    if (shengCapable())
-      return matchShengSse(Data, Size, Pos);
-    return matchTruffleSse(Data, Size, Pos);
-  }
-#elif defined(__aarch64__)
-  if (shengCapable())
-    return matchShengNeon(Data, Size, Pos);
-  return matchTruffleNeon(Data, Size, Pos);
-#endif
-  return matchSwar(Data, Size, Pos);
-}
-
-size_t ScanTable::munchSimd(const char *Data, size_t Size,
-                            std::vector<TokenSpan> &Out) const {
-#if defined(__x86_64__) || defined(__i386__)
-  if (cpuSupportsShuffle()) {
-    if (shengCapable())
-      return munchShengSse(Data, Size, Out);
-    return munchTruffleSse(Data, Size, Out);
-  }
-#elif defined(__aarch64__)
-  if (shengCapable())
-    return munchShengNeon(Data, Size, Out);
-  return munchTruffleNeon(Data, Size, Out);
-#endif
-  return munchSwar(Data, Size, Out);
+  return munchCore(C, Data, Size, Out);
 }
 
 //===----------------------------------------------------------------------===//

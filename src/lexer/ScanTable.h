@@ -27,20 +27,12 @@
 ///     independent bit probes and a single all-stay branch, instead of 8
 ///     chained table loads. Tokens too short to form a run (most
 ///     punctuation) fall through to the branchy per-byte step at scalar
-///     cost — the batching never pays for bytes that do not exist. For
-///     DFAs whose minimized state count (including the synthetic dead
-///     state) fits in 16, a shuffle path (SSSE3 PSHUFB / NEON TBL) keeps
-///     the entire transition function in one vector register per class —
-///     the classic "sheng" trick — cutting the per-byte latency from an
-///     L1 load to a 1-cycle shuffle.
+///     cost — the batching never pays for bytes that do not exist.
 ///
-/// Backend choice is a runtime decision (LexBackend + resolveLexBackend):
-/// binaries are built without -march flags, the SSSE3 path is compiled
-/// behind a function-level target attribute and dispatched on cpuid, and
-/// the COSTAR_LEX_BACKEND environment variable can force any backend (the
-/// CI portable-build job forces the fallbacks). All backends are
-/// bit-identical to the byte-at-a-time scalar loop in Scanner::matchAt —
-/// the randomized equivalence suite sweeps them against each other.
+/// The batched matchers are portable C++ (no intrinsics, no -march flags)
+/// and bit-identical to the byte-at-a-time scalar loop in
+/// Scanner::matchAt — the randomized equivalence suite sweeps them against
+/// each other.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,30 +54,25 @@ namespace lexer {
 enum class LexBackend : uint8_t {
   /// Byte-at-a-time loop over Dfa::next, the shape of the paper-era lexer.
   ScalarPaperFaithful,
-  /// Equivalence-classed flat table with SWAR 8-byte input batching.
+  /// Equivalence-classed flat table with SWAR 8-byte input batching (the
+  /// default).
   Swar,
-  /// Vector (SSSE3/NEON) self-loop run scanning for any DFA, plus
-  /// shuffle-based transitions (sheng) for <=16-state DFAs; falls back to
-  /// Swar when the CPU has no byte shuffle.
+  /// Simd and Auto have no path of their own: they are kept so existing
+  /// callers still compile, and resolveLexBackend maps both to Swar.
   Simd,
-  /// Simd when profitable and available, else Swar (the default).
   Auto,
 };
 
-/// \returns true if this build+CPU can run the shuffle path at all.
-bool cpuSupportsShuffle();
-
-/// Resolves an explicitly requested backend to the one that can actually
-/// run: Auto picks Simd when available, and Simd degrades to Swar when
-/// the CPU has no byte shuffle. Never returns Auto.
-LexBackend resolveLexBackend(LexBackend Requested, bool ShengCapable);
+/// Maps a requested backend to the one Scanner runs: ScalarPaperFaithful
+/// stays, everything else is Swar.
+LexBackend resolveLexBackend(LexBackend Requested);
 
 /// Serializes \p D as uint32 words appended to \p Out, for the warm-start
 /// snapshot (src/snapshot/). The ScanTable itself is never serialized: it
-/// is a pure function of the Dfa (equivalence classes, pre-scaled rows,
-/// truffle/sheng tables are all derived), so the snapshot stores the
-/// source of truth and recompiles the table on load — which also keeps
-/// snapshot files portable across SIMD capabilities and architectures.
+/// is a pure function of the Dfa (equivalence classes, pre-scaled rows and
+/// masks are all derived), so the snapshot stores the source of truth and
+/// recompiles the table on load — which also keeps snapshot files
+/// portable across architectures.
 /// Layout: numStates, startState, numStates accept rules (int32 bit
 /// pattern), numStates * 256 transitions (int32 bit pattern, DeadState
 /// where undefined).
@@ -97,13 +84,6 @@ void serializeDfa(const Dfa &D, std::vector<uint32_t> &Out);
 /// below NoRule — so a corrupted snapshot section is rejected here rather
 /// than crashing the scanner later.
 bool deserializeDfa(std::span<const uint32_t> Words, Dfa &Out);
-
-/// The backend a freshly built Scanner starts on: the COSTAR_LEX_BACKEND
-/// environment override (scalar|swar|simd|auto; read once per process —
-/// how CI's portable-build job pins every binary to a fallback) when set,
-/// else resolveLexBackend(Auto). Explicit setLexBackend calls bypass the
-/// override so equivalence tests can always force a specific path.
-LexBackend defaultLexBackend(bool ShengCapable);
 
 /// The flat scan table compiled from a Dfa. Immutable after construction;
 /// the Dfa itself stays the source of truth for the scalar baseline.
@@ -121,25 +101,16 @@ public:
     uint32_t Length;
   };
 
-  static constexpr uint32_t MaxShengStates = 16;
-
   ScanTable() = default;
   explicit ScanTable(const Dfa &D);
 
   uint32_t numClasses() const { return NumClasses; }
   /// States including the synthetic self-looping dead state.
   uint32_t numStates() const { return NumStates; }
-  /// True if the shuffle path can represent this DFA (numStates() <= 16).
-  bool shengCapable() const { return NumStates <= MaxShengStates; }
 
   /// Maximal-munch match via the SWAR batched table walk. Identical
   /// results to the scalar Dfa walk.
   Match matchSwar(const char *Data, size_t Size, size_t Pos) const;
-
-  /// Maximal-munch match via the vector paths (truffle run scanning, or
-  /// sheng for <=16-state DFAs); falls back to matchSwar without a
-  /// shuffle-capable CPU. Identical results to the scalar Dfa walk.
-  Match matchSimd(const char *Data, size_t Size, size_t Pos) const;
 
   /// Bulk maximal munch: tokenizes Data from offset 0, appending one
   /// TokenSpan per match to \p Out, and returns the number of bytes
@@ -148,10 +119,6 @@ public:
   /// result marshalling — is paid once per buffer instead of once per
   /// token, which matters when the median token is a few bytes long.
   size_t munchSwar(const char *Data, size_t Size,
-                   std::vector<TokenSpan> &Out) const;
-
-  /// Bulk maximal munch via the vector paths; same contract as munchSwar.
-  size_t munchSimd(const char *Data, size_t Size,
                    std::vector<TokenSpan> &Out) const;
 
 private:
@@ -179,38 +146,6 @@ private:
   /// exactly where it cannot be amortized. Empty (dispatch disabled) when
   /// the encoding does not fit (scaled states > 16 bits or > 126 rules).
   std::vector<uint32_t> Pair;
-  /// Truffle tables for the vector run scanner: per state, two 16-byte
-  /// PSHUFB/TBL tables encoding the 256-bit "stays in this state" byte set
-  /// exactly (entry L of the first table holds hi-nibble bits 0-7 for
-  /// bytes with low nibble L; the second table holds hi-nibble bits 8-15).
-  std::vector<uint8_t> Truffle;
-  /// TruffleOff[s*NumClasses] = byte offset of state s's truffle tables,
-  /// so the hot loop maps a scaled state to its tables without dividing.
-  std::vector<uint32_t> TruffleOff;
-  /// Shuffle tables, one 16-byte row per class: Shuffle[c*16 + s] = next
-  /// unscaled state. Populated only when shengCapable().
-  std::vector<uint8_t> Shuffle;
-  /// Accept rule per unscaled state for the shuffle path.
-  std::array<int32_t, MaxShengStates> AcceptSmall{};
-  uint8_t StartSmall = 0;
-  uint8_t DeadSmall = 0;
-
-#if defined(__x86_64__) || defined(__i386__)
-  Match matchShengSse(const char *Data, size_t Size, size_t Pos) const;
-  Match matchTruffleSse(const char *Data, size_t Size, size_t Pos) const;
-  size_t munchShengSse(const char *Data, size_t Size,
-                       std::vector<TokenSpan> &Out) const;
-  size_t munchTruffleSse(const char *Data, size_t Size,
-                         std::vector<TokenSpan> &Out) const;
-#endif
-#if defined(__aarch64__)
-  Match matchShengNeon(const char *Data, size_t Size, size_t Pos) const;
-  Match matchTruffleNeon(const char *Data, size_t Size, size_t Pos) const;
-  size_t munchShengNeon(const char *Data, size_t Size,
-                        std::vector<TokenSpan> &Out) const;
-  size_t munchTruffleNeon(const char *Data, size_t Size,
-                          std::vector<TokenSpan> &Out) const;
-#endif
 };
 
 } // namespace lexer

@@ -38,7 +38,6 @@ Scanner::Scanner(const LexerSpec &Spec, Grammar &G) {
     return;
   }
   Table = ScanTable(D);
-  Backend = defaultLexBackend(Table.shengCapable());
 }
 
 Scanner Scanner::fromCompiled(Dfa D, std::vector<TerminalId> RuleTerminals) {
@@ -46,25 +45,15 @@ Scanner Scanner::fromCompiled(Dfa D, std::vector<TerminalId> RuleTerminals) {
   S.D = std::move(D);
   S.RuleTerminal = std::move(RuleTerminals);
   S.Table = ScanTable(S.D);
-  S.Backend = defaultLexBackend(S.Table.shengCapable());
   return S;
 }
 
 Scanner::MatchResult Scanner::matchAt(const std::string &Input,
                                       size_t Pos) const {
-  switch (Backend) {
-  case LexBackend::Swar: {
+  if (Backend == LexBackend::Swar) {
     ScanTable::Match M = Table.matchSwar(Input.data(), Input.size(), Pos);
     adt::TableCounters::lexSwarBytes() += M.Length;
     return MatchResult{M.Rule, M.Length};
-  }
-  case LexBackend::Simd: {
-    ScanTable::Match M = Table.matchSimd(Input.data(), Input.size(), Pos);
-    adt::TableCounters::lexSimdBytes() += M.Length;
-    return MatchResult{M.Rule, M.Length};
-  }
-  default:
-    break;
   }
   MatchResult Best = scalarMatch(Input.data(), Input.size(), Pos);
   adt::TableCounters::lexScalarBytes() += Best.Length;
@@ -95,19 +84,10 @@ Scanner::MatchResult Scanner::scalarMatch(const char *Data, size_t Size,
 
 size_t Scanner::munch(std::string_view Input,
                       std::vector<ScanTable::TokenSpan> &Out) const {
-  switch (Backend) {
-  case LexBackend::Swar: {
+  if (Backend == LexBackend::Swar) {
     size_t Consumed = Table.munchSwar(Input.data(), Input.size(), Out);
     adt::TableCounters::lexSwarBytes() += Consumed;
     return Consumed;
-  }
-  case LexBackend::Simd: {
-    size_t Consumed = Table.munchSimd(Input.data(), Input.size(), Out);
-    adt::TableCounters::lexSimdBytes() += Consumed;
-    return Consumed;
-  }
-  default:
-    break;
   }
   // Scalar baseline: a per-token match loop, deliberately keeping the
   // paper-era one-call-per-token shape.

@@ -76,14 +76,13 @@ struct LexResult {
 class Scanner {
   Dfa D;
   /// The flat equivalence-classed table compiled from D (lexer/ScanTable.h)
-  /// backing the Swar/Simd match paths; D itself stays the scalar baseline.
+  /// backing the Swar match path; D itself stays the scalar baseline.
   ScanTable Table;
   /// Per rule: terminal id (for token rules) or UINT32_MAX (skip rules).
   std::vector<TerminalId> RuleTerminal;
   std::string BuildError;
-  /// The matcher matchAt runs, resolved from the requested backend, the
-  /// COSTAR_LEX_BACKEND override, CPU capability, and table shape at
-  /// construction (and again on setLexBackend). Never Auto.
+  /// The matcher matchAt and munch run: Swar unless setLexBackend asked
+  /// for ScalarPaperFaithful. Never Simd or Auto.
   LexBackend Backend = LexBackend::Swar;
 
   Scanner() = default;
@@ -115,12 +114,8 @@ public:
 
   /// The backend matchAt will actually run (post-resolution).
   LexBackend lexBackend() const { return Backend; }
-  /// Requests \p B, re-running resolution (Simd degrades to Swar when the
-  /// DFA or CPU does not qualify). Bypasses the COSTAR_LEX_BACKEND
-  /// override, which only pins the construction-time default.
-  void setLexBackend(LexBackend B) {
-    Backend = resolveLexBackend(B, Table.shengCapable());
-  }
+  /// Requests \p B (see resolveLexBackend: Simd and Auto run Swar).
+  void setLexBackend(LexBackend B) { Backend = resolveLexBackend(B); }
 
   /// One maximal-munch match attempt at \p Pos: the rule index and match
   /// length, or Rule == -1 on failure. Building block for scanInto and for

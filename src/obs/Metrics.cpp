@@ -143,6 +143,5 @@ void obs::publishTableCounters(MetricsRegistry &R) {
   Publish("tables.first_bit_tests", TableCounters::firstBitTests());
   Publish("tables.follow_bit_tests", TableCounters::followBitTests());
   Publish("lexer.swar_bytes", TableCounters::lexSwarBytes());
-  Publish("lexer.simd_bytes", TableCounters::lexSimdBytes());
   Publish("lexer.scalar_bytes", TableCounters::lexScalarBytes());
 }

@@ -53,7 +53,7 @@
 /// section stores the minimized Dfa and per-rule terminal ids — the
 /// ScanTable is a pure function of the Dfa and is recompiled
 /// (lexer::serializeDfa), which also keeps snapshots portable across
-/// SIMD capability and architecture.
+/// architectures.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,24 +6,25 @@
 ///
 /// \file
 /// Property tests for the lexer-backend claim (lexer/ScanTable.h): the
-/// SWAR and SIMD maximal-munch matchers — both the single-match entry
-/// (matchAt) and the bulk entry (munch) — are bit-identical to the
-/// byte-at-a-time scalar walk over Dfa::next, on every input:
+/// SWAR maximal-munch matcher — both the single-match entry (matchAt) and
+/// the bulk entry (munch) — is bit-identical to the byte-at-a-time scalar
+/// walk over Dfa::next, on every input:
 ///
-///  - generated corpora for all four benchmark languages (exercising the
-///    truffle vector path on big DFAs and sheng on small ones),
+///  - generated corpora for every benchmark language, both scanner by
+///    scanner and through each Language's full lexer stack (the XML modal
+///    scanner and the Python indentation pipeline included),
 ///  - randomly corrupted corpora (byte splices, so munch hits unmatchable
 ///    bytes at random offsets and every backend must stop identically),
-///  - random lexer specs over small alphabets (random DFA shapes,
-///    including <=16-state tables where the sheng path engages),
+///  - random lexer specs over small alphabets (random DFA shapes),
 ///  - adversarial byte strings (all 256 values, runs crossing the 8-byte
-///    SWAR and 16-byte vector block boundaries).
+///    SWAR block boundary).
 ///
 /// Additionally, munch must equal an explicit matchAt loop on the same
 /// backend — the bulk API is an amortization, never a semantic change.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "adt/Instrument.h"
 #include "lang/Language.h"
 #include "lexer/Scanner.h"
 #include "workload/Generators.h"
@@ -80,16 +81,15 @@ void expectSpansEqual(const std::vector<ScanTable::TokenSpan> &A,
 /// The full cross-check for one scanner and one input: every backend's
 /// munch and matchAt loop against the scalar baseline's.
 void expectAllBackendsAgree(const Scanner &Base, const std::string &Text) {
-  Scanner Scalar = Base, Swar = Base, Simd = Base;
+  Scanner Scalar = Base, Swar = Base;
   Scalar.setLexBackend(LexBackend::ScalarPaperFaithful);
   Swar.setLexBackend(LexBackend::Swar);
-  Simd.setLexBackend(LexBackend::Simd);
 
   size_t RefConsumed;
   std::vector<ScanTable::TokenSpan> Ref =
       matchAtLoop(Scalar, Text, RefConsumed);
 
-  for (const Scanner *S : {&Scalar, &Swar, &Simd}) {
+  for (const Scanner *S : {&Scalar, &Swar}) {
     size_t C1, C2;
     std::vector<ScanTable::TokenSpan> ViaMunch = munchAll(*S, Text, C1);
     std::vector<ScanTable::TokenSpan> ViaLoop = matchAtLoop(*S, Text, C2);
@@ -121,10 +121,36 @@ std::string corruptText(std::mt19937_64 &Rng, std::string Text) {
   return Text;
 }
 
+/// Language::lex on both backends: identical tokens (terminal, lexeme,
+/// line/col) and identical error diagnostics. The byte counters prove
+/// setLexBackend reached every scanner in the stack, so neither side
+/// silently ran the other's matcher.
+void expectLanguageLexAgrees(lang::Language &L, const std::string &Src) {
+  adt::TableCounters::reset();
+  L.setLexBackend(LexBackend::ScalarPaperFaithful);
+  LexResult Ref = L.lex(Src);
+  EXPECT_EQ(adt::TableCounters::lexSwarBytes(), 0u) << L.Name;
+  uint64_t ScalarBytes = adt::TableCounters::lexScalarBytes();
+  L.setLexBackend(LexBackend::Swar);
+  LexResult Got = L.lex(Src);
+  EXPECT_EQ(adt::TableCounters::lexScalarBytes(), ScalarBytes) << L.Name;
+  ASSERT_EQ(Got.Tokens.size(), Ref.Tokens.size()) << L.Name << ": " << Src;
+  for (size_t I = 0; I < Ref.Tokens.size(); ++I) {
+    EXPECT_EQ(Got.Tokens[I].Term, Ref.Tokens[I].Term) << L.Name << " #" << I;
+    EXPECT_EQ(Got.Tokens[I].Lexeme, Ref.Tokens[I].Lexeme)
+        << L.Name << " #" << I;
+    EXPECT_EQ(Got.Tokens[I].Line, Ref.Tokens[I].Line) << L.Name << " #" << I;
+    EXPECT_EQ(Got.Tokens[I].Col, Ref.Tokens[I].Col) << L.Name << " #" << I;
+  }
+  EXPECT_EQ(Got.Error, Ref.Error) << L.Name << ": " << Src;
+  EXPECT_EQ(Got.ErrorLine, Ref.ErrorLine) << L.Name;
+  EXPECT_EQ(Got.ErrorCol, Ref.ErrorCol) << L.Name;
+}
+
 } // namespace
 
 TEST(LexBackends, LanguageCorporaIdentical) {
-  // Generated corpora for every benchmark language: the JSON/XML/DOT
+  // Generated corpora for every benchmark language: the JSON/DOT/Verilog
   // scanners run plain (Plain), Python runs its indentation-inner scanner
   // (IndentInner, which stops at newlines — an unmatchable-byte resume
   // exercised below by scanning the whole multi-line source anyway).
@@ -133,7 +159,7 @@ TEST(LexBackends, LanguageCorporaIdentical) {
     lang::Language L = lang::makeLanguage(Id);
     // XML lexes through a ModalScanner (mode-switching driver); its inner
     // scanners are not reachable as a single Scanner, so it is covered by
-    // the random-spec sweep below rather than here.
+    // LanguageLexIdentical below rather than here.
     if (!L.Plain && !L.IndentInner)
       continue;
     const Scanner &Base = L.Plain ? *L.Plain : *L.IndentInner;
@@ -145,11 +171,26 @@ TEST(LexBackends, LanguageCorporaIdentical) {
   }
 }
 
+TEST(LexBackends, LanguageLexIdentical) {
+  // Whole lexer stacks, not single scanners: the XML ModalScanner switches
+  // scanners per mode and the Python IndentingScanner scans line fragments
+  // through its inner scanner, so both backends must agree end to end —
+  // including where and why a corrupted source fails to lex.
+  std::mt19937_64 Rng(20260814);
+  for (lang::LangId Id : lang::allLanguages()) {
+    lang::Language L = lang::makeLanguage(Id);
+    for (int File = 0; File < 6; ++File) {
+      std::string Src = workload::generateSource(Id, Rng, 400);
+      expectLanguageLexAgrees(L, Src);
+      expectLanguageLexAgrees(L, corruptText(Rng, Src));
+    }
+  }
+}
+
 TEST(LexBackends, RandomSpecsIdentical) {
   // Random lexer specs over a small alphabet: random literal tokens, an
-  // optional character-class token and whitespace skip. Small rule sets
-  // minimize to <=16-state DFAs, so this sweep exercises the sheng
-  // shuffle path; larger ones exercise truffle — both against scalar.
+  // optional character-class token and whitespace skip, so DFA shapes
+  // range from a handful of states to dozens — each against scalar.
   std::mt19937_64 Rng(20260812);
   static const char Alpha[] = "abcxyz019.,;()*+-";
   for (int Trial = 0; Trial < 120; ++Trial) {
@@ -188,9 +229,9 @@ TEST(LexBackends, RandomSpecsIdentical) {
 }
 
 TEST(LexBackends, BlockBoundaryRuns) {
-  // Self-loop runs whose lengths bracket the SWAR 8-byte probe and the
-  // vector 16-byte block: every length from 0 to 40, with the run at the
-  // start, middle, and end of the buffer.
+  // Self-loop runs whose lengths bracket the SWAR 8-byte probe several
+  // times over: every length from 0 to 40, with the run at the start,
+  // middle, and end of the buffer.
   Grammar G;
   LexerSpec Spec;
   Spec.token("ID", "[a-z]+").token("NUM", "[0-9]+").skip("WS", "[ ]+");
@@ -204,6 +245,22 @@ TEST(LexBackends, BlockBoundaryRuns) {
     expectAllBackendsAgree(S, "7 " + Run + " 7");
     expectAllBackendsAgree(S, Run + "!tail"); // unmatchable mid-buffer
   }
+}
+
+TEST(LexBackends, RetiredBackendsResolveToSwar) {
+  // Simd and Auto have no matcher of their own; requesting either must
+  // leave the scanner on Swar, never on an unimplemented path.
+  Grammar G;
+  LexerSpec Spec;
+  Spec.token("ID", "[a-z]+").skip("WS", "[ ]+");
+  Scanner S(Spec, G);
+  ASSERT_TRUE(S.ok());
+  EXPECT_EQ(S.lexBackend(), LexBackend::Swar);
+  S.setLexBackend(LexBackend::Simd);
+  EXPECT_EQ(S.lexBackend(), LexBackend::Swar);
+  S.setLexBackend(LexBackend::ScalarPaperFaithful);
+  S.setLexBackend(LexBackend::Auto);
+  EXPECT_EQ(S.lexBackend(), LexBackend::Swar);
 }
 
 TEST(LexBackends, AllBytesInput) {

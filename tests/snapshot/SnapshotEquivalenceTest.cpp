@@ -268,18 +268,27 @@ TEST(SnapshotEquivalence, LexerRoundTripTokenIdentical) {
         S.push_back(static_cast<char>(I % 2 ? ' ' + Rng() % 95 : Rng() % 256));
       Inputs.push_back(std::move(S));
     }
-    for (const std::string &Src : Inputs) {
-      lexer::LexResult RO = Orig->scan(Src);
-      lexer::LexResult RR = Rebuilt.scan(Src);
-      ASSERT_EQ(RO.ok(), RR.ok()) << L.Name;
-      ASSERT_EQ(RO.Tokens.size(), RR.Tokens.size()) << L.Name;
-      for (size_t I = 0; I < RO.Tokens.size(); ++I) {
-        EXPECT_EQ(RO.Tokens[I].Term, RR.Tokens[I].Term) << L.Name;
-        EXPECT_EQ(RO.Tokens[I].Lexeme, RR.Tokens[I].Lexeme) << L.Name;
+    // The rebuilt scanner starts on the default (Swar) backend; the
+    // paper-faithful scalar walk over the rebuilt DFA must match too.
+    for (lexer::LexBackend B :
+         {lexer::LexBackend::Swar, lexer::LexBackend::ScalarPaperFaithful}) {
+      Rebuilt.setLexBackend(B);
+      ASSERT_EQ(Rebuilt.lexBackend(), B);
+      for (const std::string &Src : Inputs) {
+        lexer::LexResult RO = Orig->scan(Src);
+        lexer::LexResult RR = Rebuilt.scan(Src);
+        ASSERT_EQ(RO.ok(), RR.ok()) << L.Name;
+        ASSERT_EQ(RO.Tokens.size(), RR.Tokens.size()) << L.Name;
+        for (size_t I = 0; I < RO.Tokens.size(); ++I) {
+          EXPECT_EQ(RO.Tokens[I].Term, RR.Tokens[I].Term) << L.Name;
+          EXPECT_EQ(RO.Tokens[I].Lexeme, RR.Tokens[I].Lexeme) << L.Name;
+          EXPECT_EQ(RO.Tokens[I].Line, RR.Tokens[I].Line) << L.Name;
+          EXPECT_EQ(RO.Tokens[I].Col, RR.Tokens[I].Col) << L.Name;
+        }
+        EXPECT_EQ(RO.Error, RR.Error) << L.Name;
+        EXPECT_EQ(RO.ErrorLine, RR.ErrorLine) << L.Name;
+        EXPECT_EQ(RO.ErrorCol, RR.ErrorCol) << L.Name;
       }
-      EXPECT_EQ(RO.Error, RR.Error) << L.Name;
-      EXPECT_EQ(RO.ErrorLine, RR.ErrorLine) << L.Name;
-      EXPECT_EQ(RO.ErrorCol, RR.ErrorCol) << L.Name;
     }
   }
 }
