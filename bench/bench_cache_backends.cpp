@@ -14,7 +14,9 @@
 /// Besides the human-readable tables, results are written to
 /// BENCH_cache_backends.json in the uniform BenchRecord schema
 /// ({name, metric, value, unit}; bench/BenchUtil.h) so the performance
-/// trajectory is machine-trackable across PRs.
+/// trajectory is machine-trackable across PRs. Each language also gets a
+/// "cold/<lang>" cold_speedup record (Hashed over AVL tok/s on the cold
+/// pass), which scripts/check_bench_regression.py gates for Python.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -221,6 +223,10 @@ int main(int Argc, char **Argv) {
     std::fputs(T.str().c_str(), stdout);
     std::printf("speedup: cold %.2fx, warm %.2fx, cacheops %.2fx\n\n",
                 ColdAvl / ColdHash, WarmAvl / WarmHash, OpsAvl / OpsHash);
+    // Hashed over AVL tok/s on the cold pass (same tokens, so the inverse
+    // time ratio): the default backend's own cold-path gate.
+    Records.push_back({"cold/" + C.L.Name, "cold_speedup", ColdAvl / ColdHash,
+                       "x"});
     // "Large grammar" per the paper's Figure 8 ordering: DOT and Python.
     if (Id == lang::LangId::Dot || Id == lang::LangId::Python) {
       for (auto [Speedup, Name] :

@@ -101,6 +101,18 @@ GATES = {
         higher("warmstart/python", "loaded_vs_cold", tolerance=0.80,
                bound=2.0),
     ],
+    "BENCH_cache_backends.json": [
+        # The default Hashed backend must win its own cold-path gate: a
+        # fresh cache per file, Hashed over AVL tok/s in one run. The
+        # bound is the absolute claim (the default is never slower than
+        # the paper-faithful baseline on cold Python). The tolerance is
+        # twice the worst drop seen: 11 runs (5 at full scale, 6 at the
+        # CI scale 0.25) spanned 1.25-1.71x around the committed 1.38x,
+        # the lowest 9.8% under it; a serializing interner measured
+        # 1.01x, a 27% drop that fails the tolerance.
+        higher("cold/Python", "cold_speedup", tolerance=0.20,
+               bound=1.0),
+    ],
     "BENCH_semantic.json": [
         # The semantic framework's price tag: the full costar-verilint
         # battery (two tree passes, scope tables, constant folding) may

@@ -51,6 +51,26 @@
 #include <type_traits>
 #include <vector>
 
+// Under AddressSanitizer a rewound epoch is poisoned until it is handed out
+// again, so a read through a handle that outlived its epoch is reported
+// instead of silently seeing the next epoch's objects.
+#if defined(__SANITIZE_ADDRESS__)
+#define COSTAR_ARENA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define COSTAR_ARENA_ASAN 1
+#endif
+#endif
+#ifdef COSTAR_ARENA_ASAN
+#include <sanitizer/asan_interface.h>
+#define COSTAR_ARENA_POISON(Addr, Size) ASAN_POISON_MEMORY_REGION(Addr, Size)
+#define COSTAR_ARENA_UNPOISON(Addr, Size)                                      \
+  ASAN_UNPOISON_MEMORY_REGION(Addr, Size)
+#else
+#define COSTAR_ARENA_POISON(Addr, Size) ((void)(Addr), (void)(Size))
+#define COSTAR_ARENA_UNPOISON(Addr, Size) ((void)(Addr), (void)(Size))
+#endif
+
 namespace costar {
 namespace adt {
 
@@ -81,6 +101,7 @@ public:
       size_t Aligned = (CurUsed + Align - 1) & ~(Align - 1);
       if (Aligned + Bytes <= Slabs[CurSlab].Size) {
         CurUsed = Aligned + Bytes;
+        COSTAR_ARENA_UNPOISON(Slabs[CurSlab].Mem.get() + Aligned, Bytes);
         return Slabs[CurSlab].Mem.get() + Aligned;
       }
     }
@@ -122,6 +143,8 @@ public:
     for (auto It = Finalizers.rbegin(); It != Finalizers.rend(); ++It)
       It->Fn(It->Obj);
     Finalizers.clear();
+    for (const Slab &S : Slabs)
+      COSTAR_ARENA_POISON(S.Mem.get(), S.Size);
     CurSlab = 0;
     CurUsed = 0;
     ++EpochCount;
@@ -208,6 +231,8 @@ inline Arena::~Arena() {
   // container's buffer deallocation must still route to "epoch-owned".
   for (auto It = Finalizers.rbegin(); It != Finalizers.rend(); ++It)
     It->Fn(It->Obj);
+  for (const Slab &S : Slabs)
+    COSTAR_ARENA_UNPOISON(S.Mem.get(), S.Size);
   ArenaRegistry &R = arenaRegistry();
   std::unique_lock<std::shared_mutex> Lock(R.Mutex);
   for (size_t I = 0; I < R.Arenas.size(); ++I)
@@ -225,6 +250,7 @@ inline void *Arena::allocSlow(size_t Bytes) {
     if (Bytes <= Slabs[Next].Size) {
       CurSlab = Next;
       CurUsed = Bytes;
+      COSTAR_ARENA_UNPOISON(Slabs[Next].Mem.get(), Bytes);
       return Slabs[Next].Mem.get();
     }
   // Grow: doubling sizes, floored so a zero-capacity arena still grows and

@@ -13,8 +13,9 @@
 ///
 ///  - HashIndex:  uint64 key -> uint32 value (DFA transitions and start
 ///    states).
-///  - SpanIndex:  a span-of-uint32 key interner (canonical DFA-state keys),
-///    storing each key's words exactly once in a shared arena.
+///  - HashIdIndex: 64-bit state hash -> dense state id, with caller-side
+///    key verification (the DFA-state interner; the states themselves
+///    are the keys).
 ///
 /// Both use power-of-two capacities, linear probing, and a splitmix64
 /// bit-mixer so that the sequential ids the cache produces spread evenly.
@@ -29,9 +30,8 @@
 #include "adt/Instrument.h"
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <span>
 #include <vector>
 
 namespace costar {
@@ -44,14 +44,6 @@ inline uint64_t mix64(uint64_t X) {
   X = (X ^ (X >> 30)) * 0xBF58476D1CE4E5B9ull;
   X = (X ^ (X >> 27)) * 0x94D049BB133111EBull;
   return X ^ (X >> 31);
-}
-
-/// Incremental hash of a uint32 sequence built on mix64 (order-sensitive).
-inline uint64_t hashSpan(std::span<const uint32_t> Words) {
-  uint64_t H = 0x243F6A8885A308D3ull; // pi, for want of a nothing-up-my-sleeve
-  for (uint32_t W : Words)
-    H = mix64(H ^ W);
-  return H;
 }
 
 /// An open-addressing map from uint64 keys to uint32 values. Values must
@@ -134,32 +126,22 @@ public:
   }
 };
 
-/// Interns spans of uint32 words, assigning dense ids in insertion order.
-/// Each distinct key's words are stored exactly once, contiguously, in a
-/// shared arena; lookups hash the span and fall back to a memcmp only on a
-/// bucket hit, so the per-lookup cost is O(1) expected plus one O(len)
-/// verification instead of O(log n) O(len)-sized comparisons.
-class SpanIndex {
+/// An open-addressing multimap from 64-bit key hashes to dense ids, for
+/// interners that store their keys themselves (the SLL cache keeps each
+/// DFA state's canonical config list in its state table). find() walks
+/// the probe chain of a hash and asks the caller to verify each candidate
+/// id, so distinct keys whose hashes collide coexist; a lookup costs O(1)
+/// expected probes plus one caller-side equality check per hash match.
+class HashIdIndex {
   struct Slot {
     uint64_t Hash = 0;
     uint32_t Id = HashIndex::EmptyValue;
   };
   std::vector<Slot> Slots;
-  std::vector<uint32_t> Arena;
-  /// Per-id [offset, end) into Arena.
-  std::vector<std::pair<uint32_t, uint32_t>> Extents;
+  uint32_t Count = 0;
 
   size_t probeStart(uint64_t Hash) const {
     return static_cast<size_t>(Hash) & (Slots.size() - 1);
-  }
-
-  bool equalsKey(uint32_t Id, std::span<const uint32_t> Key) const {
-    auto [Begin, End] = Extents[Id];
-    if (End - Begin != Key.size())
-      return false;
-    return Key.empty() ||
-           std::memcmp(Arena.data() + Begin, Key.data(),
-                       Key.size() * sizeof(uint32_t)) == 0;
   }
 
   void grow() {
@@ -176,11 +158,10 @@ class SpanIndex {
   }
 
 public:
-  uint32_t size() const { return static_cast<uint32_t>(Extents.size()); }
-
-  /// \returns the id interned for \p Key (with precomputed \p Hash), or
-  /// nullopt when the key is unknown.
-  const uint32_t *find(std::span<const uint32_t> Key, uint64_t Hash) const {
+  /// \returns the first id bound to \p Hash for which \p IsKey(id) holds,
+  /// or nullptr.
+  template <typename PredT>
+  const uint32_t *find(uint64_t Hash, PredT IsKey) const {
     if (Slots.empty())
       return nullptr;
     size_t I = probeStart(Hash);
@@ -189,36 +170,25 @@ public:
       const Slot &S = Slots[I];
       if (S.Id == HashIndex::EmptyValue)
         return nullptr;
-      if (S.Hash == Hash && equalsKey(S.Id, Key))
-        return &Slots[I].Id;
+      if (S.Hash == Hash && IsKey(S.Id))
+        return &S.Id;
       I = (I + 1) & (Slots.size() - 1);
     }
   }
 
-  /// Interns \p Key under the next dense id; the key must not be present.
-  /// \returns the assigned id.
-  uint32_t insert(std::span<const uint32_t> Key, uint64_t Hash) {
-    assert(!find(Key, Hash) && "duplicate key in SpanIndex");
-    if (Slots.empty() || (Extents.size() + 1) * 10 >= Slots.size() * 7)
+  /// Binds \p Hash to \p Id; the caller guarantees the key is new.
+  void insert(uint64_t Hash, uint32_t Id) {
+    assert(Id != HashIndex::EmptyValue &&
+           "id collides with the empty sentinel");
+    if (Slots.empty() || (Count + 1) * 10 >= Slots.size() * 7)
       grow();
-    uint32_t Id = static_cast<uint32_t>(Extents.size());
-    uint32_t Begin = static_cast<uint32_t>(Arena.size());
-    Arena.insert(Arena.end(), Key.begin(), Key.end());
-    Extents.emplace_back(Begin, static_cast<uint32_t>(Arena.size()));
     size_t I = probeStart(Hash);
     while (Slots[I].Id != HashIndex::EmptyValue) {
       ++ComparisonCounters::hashProbe();
       I = (I + 1) & (Slots.size() - 1);
     }
     Slots[I] = Slot{Hash, Id};
-    return Id;
-  }
-
-  /// The interned words for \p Id (testing / diagnostics).
-  std::span<const uint32_t> key(uint32_t Id) const {
-    assert(Id < Extents.size() && "span id out of range");
-    auto [Begin, End] = Extents[Id];
-    return {Arena.data() + Begin, End - Begin};
+    ++Count;
   }
 };
 

@@ -33,6 +33,9 @@ Machine::Machine(const Grammar &G, const PredictionTables &Tables,
       Cache(SharedCache ? SharedCache : &OwnedCache), Opts(Opts) {
   if (this->Opts.Alloc == adt::AllocBackend::Arena && !this->Opts.AllocArena)
     OwnedArena = std::make_shared<adt::Arena>();
+  // The machine's own cache dies with the machine, before its arena can be
+  // rewound by anyone else's run, so its states may keep arena sim stacks.
+  OwnedCache.setEpochLocal();
   Stack.push_back(Frame{InvalidProductionId, &StartSyms, 0, {}});
   CacheHitsAtStart = Cache->Hits;
   CacheMissesAtStart = Cache->Misses;
@@ -172,6 +175,11 @@ ParseResult Machine::run() {
   // get owning heap allocations regardless of Opts.Alloc.
   adt::Arena *Epoch = nullptr;
   if (Opts.Alloc == adt::AllocBackend::Arena) {
+    // One epoch per machine: a second run() would rewind the arena under
+    // this machine's own frames, trees and epoch-local cache states.
+    assert(!EpochOpened && "Machine::run() opens one arena epoch; use a "
+                           "fresh Machine per parse");
+    EpochOpened = true;
     // A previous epoch that escaped into a handed-off result must never be
     // reset; swap in a fresh arena and let the result keep the old one.
     if (!Opts.AllocArena && OwnedArena.use_count() > 1)

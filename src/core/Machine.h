@@ -207,7 +207,8 @@ public:
     return Result;
   }
 
-  /// multistep: iterates step() to completion.
+  /// multistep: iterates step() to completion. Call it at most once per
+  /// machine: it opens the machine's one arena epoch.
   ParseResult run();
 
   // Introspection (tests, invariant checkers, trace-based property tests).
@@ -217,6 +218,9 @@ public:
   size_t tokensRemaining() const { return Input.size() - Pos; }
   bool uniqueFlag() const { return UniqueFlag; }
   const Stats &stats() const { return MachineStats; }
+  /// The SLL cache this machine predicts with. A machine-local cache keeps
+  /// arena sim stacks, so read it before the arena is next rewound (the
+  /// next run() on the same arena).
   const SllCache &cache() const { return *Cache; }
 
 private:
@@ -238,8 +242,14 @@ private:
   size_t Pos = 0;
   VisitedSet Visited;
   bool UniqueFlag = true;
+  /// The machine-local cache, used when no shared cache is supplied. It
+  /// is epoch-local (SllCache::setEpochLocal): declared after OwnedArena
+  /// so it is destroyed first, and run() opens at most one epoch per
+  /// machine, so no rewind can happen while it is alive.
   SllCache OwnedCache;
   SllCache *Cache;
+  /// Set by the run() that opens this machine's arena epoch.
+  bool EpochOpened = false;
   ParseOptions Opts;
   Stats MachineStats;
   /// Enforces Opts.Budget; armed at the top of run().

@@ -9,9 +9,6 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
-#include <deque>
-#include <set>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace costar;
@@ -34,6 +31,21 @@ void costar::serializeSubparser(const Subparser &Sp,
     Out.push_back(N->F.Pos);
   }
   Out.push_back(SerialEnd);
+}
+
+int costar::compareSubparsers(const Subparser &A, const Subparser &B) {
+  if (A.Prediction != B.Prediction)
+    return A.Prediction < B.Prediction ? -1 : 1;
+  const SimStackNode *X = A.Stack.get(), *Y = B.Stack.get();
+  for (; X != Y; X = X->Tail.get(), Y = Y->Tail.get()) {
+    if (!X || !Y)
+      return X ? 1 : -1;
+    if (X->F.Prod != Y->F.Prod)
+      return X->F.Prod < Y->F.Prod ? -1 : 1;
+    if (X->F.Pos != Y->F.Pos)
+      return X->F.Pos < Y->F.Pos ? -1 : 1;
+  }
+  return 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -361,96 +373,190 @@ PredictionResult costar::llPredict(const Grammar &G, NonterminalId X,
 
 namespace {
 
-/// Deep-copies an epoch-arena sim stack into owning heap nodes so cached
-/// DFA configs survive the parse that built them. The memo preserves the
-/// tail sharing closure produced (configs of one state routinely share
-/// stack suffixes); it is a flat vector scanned newest-first because the
-/// sharing point is almost always the most recently detached suffix.
-/// Nodes the active arena does not own anchor the recursion: they live in
-/// earlier states of this same cache (detached by a previous intern, or
-/// borrowed from one by makeSimStack), and caches are exchanged wholesale
+/// detachConfigs' working memory, kept per thread so that detaching a
+/// state allocates nothing but the state's own block. The memo is an
+/// open-addressing table from arena node address to the node's number in
+/// Order, emptied between calls by bumping a generation stamp rather than
+/// by clearing or freeing it (adt::HashIndex has no such reset), so one
+/// very deep state does not make every later reset pay for its size.
+class DetachScratch {
+  struct Entry {
+    const SimStackNode *Node = nullptr;
+    uint32_t Slot = 0;
+    uint32_t Gen = 0;
+  };
+  std::vector<Entry> Table; // power-of-two size, at most half full
+  uint32_t Gen = 0;
+
+  size_t probeStart(const SimStackNode *N) const {
+    return static_cast<size_t>(adt::mix64(reinterpret_cast<uintptr_t>(N))) &
+           (Table.size() - 1);
+  }
+
+  void place(const SimStackNode *N, uint32_t Slot) {
+    size_t I = probeStart(N);
+    while (Table[I].Gen == Gen)
+      I = (I + 1) & (Table.size() - 1);
+    Table[I] = Entry{N, Slot, Gen};
+  }
+
+public:
+  /// The registered nodes, numbered tails first; and a per-config walk.
+  std::vector<const SimStackNode *> Order, Path;
+
+  /// Forgets every registered node.
+  void reset() {
+    Order.clear();
+    if (++Gen == 0) { // the stamp wrapped: old entries would read as live
+      std::fill(Table.begin(), Table.end(), Entry{});
+      Gen = 1;
+    }
+  }
+
+  /// \returns \p N's number in Order, or nullptr if it is not registered.
+  const uint32_t *find(const SimStackNode *N) const {
+    if (Table.empty())
+      return nullptr;
+    for (size_t I = probeStart(N);; I = (I + 1) & (Table.size() - 1)) {
+      const Entry &E = Table[I];
+      if (E.Gen != Gen)
+        return nullptr;
+      if (E.Node == N)
+        return &E.Slot;
+    }
+  }
+
+  /// Registers \p N as the next node of Order.
+  void push(const SimStackNode *N) {
+    if ((Order.size() + 1) * 2 > Table.size()) {
+      // Fresh entries carry stamp 0, never the live one (reset() made it at
+      // least 1), so only the registered nodes are re-placed.
+      Table.assign(std::max<size_t>(64, Table.size() * 2), Entry{});
+      for (uint32_t S = 0; S < Order.size(); ++S)
+        place(Order[S], S);
+    }
+    place(N, static_cast<uint32_t>(Order.size()));
+    Order.push_back(N);
+  }
+};
+
+/// Deep-copies the arena part of a new state's sim stacks into one owning
+/// heap block, so the configs of a cache that outlives the epoch survive
+/// the parse that built them. Loops only, so stack depth never becomes
+/// native recursion: each config's stack is walked down to its first node
+/// the arena does not own, or that an earlier config already registered,
+/// and the walked nodes are numbered tails-first; then they are copied in
+/// that order into a block sized exactly once, and the configs re-pointed.
+/// The memo, keyed by arena node address, preserves the tail sharing
+/// closure produced (configs of one state routinely share stack suffixes)
+/// at O(1) per node.
+///
+/// Nodes the arena does not own anchor the walk: they live in earlier
+/// states of this same cache (detached by a previous intern, or borrowed
+/// from one by makeSimStack), and caches are exchanged wholesale
 /// (publish/adopt replaces, never merges per-state), so an anchor can
 /// never outlive the state that owns it. Deliberately bypasses
 /// makeSimStack: detaching is a lifetime operation, so it bumps no
 /// allocation counters and hits no fault-injection site — cached-state
 /// contents and stats stay identical across allocation backends.
-SimStackPtr detachSimStack(
-    const SimStackPtr &S, adt::Arena *A,
-    const std::shared_ptr<std::deque<SimStackNode>> &Block,
-    std::vector<std::pair<const SimStackNode *, SimStackPtr>> &Memo) {
-  if (!S || !A->owns(S.get()))
-    return S;
-  for (auto It = Memo.rbegin(); It != Memo.rend(); ++It)
-    if (It->first == S.get())
-      return It->second;
-  SimStackPtr Tail = detachSimStack(S->Tail, A, Block, Memo);
-  // All detached nodes of one state share a single heap block (a deque, so
-  // addresses are push-stable) behind one control block; handles alias
-  // into it. One allocation per block chunk instead of per node.
-  //
-  // A tail that was itself arena-owned has just been detached into this
-  // same block — store it as a *non-owning* alias: an owning handle held
-  // inside the block it owns would be a shared_ptr cycle (the block could
-  // never die). The block stays alive through the owning top-of-stack
-  // handles the interned configs hold; tails from earlier blocks (already
-  // heap-detached) keep their owning handles, which is acyclic because
-  // references only ever point at older blocks.
-  if (S->Tail && A->owns(S->Tail.get()))
-    Tail = adt::arenaRef(Tail.get());
-  Block->push_back(SimStackNode(S->F, std::move(Tail)));
-  SimStackPtr Owned(Block, &Block->back());
-  Memo.emplace_back(S.get(), Owned);
-  return Owned;
+void detachConfigs(const adt::Arena &A, std::vector<Subparser> &Configs) {
+  thread_local DetachScratch Memo;
+  Memo.reset();
+  std::vector<const SimStackNode *> &Order = Memo.Order, &Path = Memo.Path;
+  for (const Subparser &Sp : Configs) {
+    assert(Sp.Visited.empty() &&
+           "cached configs must carry empty visited sets");
+    Path.clear();
+    for (const SimStackNode *N = Sp.Stack.get();
+         N && A.owns(N) && !Memo.find(N); N = N->Tail.get())
+      Path.push_back(N);
+    for (auto It = Path.rbegin(); It != Path.rend(); ++It)
+      Memo.push(*It);
+  }
+  if (Order.empty())
+    return;
+  // Reserved up front, so node addresses are stable while tails are linked
+  // to earlier slots.
+  auto Block = std::make_shared<std::vector<SimStackNode>>();
+  Block->reserve(Order.size());
+  for (const SimStackNode *N : Order) {
+    // A tail inside the block is stored as a *non-owning* alias: an owning
+    // handle held inside the block it owns would be a shared_ptr cycle (the
+    // block could never die). The block stays alive through the owning
+    // top-of-stack handles the configs hold. An anchor outside the block
+    // keeps the handle the arena node held.
+    const uint32_t *Tail = Memo.find(N->Tail.get());
+    Block->emplace_back(N->F, Tail ? adt::arenaRef(&(*Block)[*Tail])
+                                   : N->Tail);
+  }
+  for (Subparser &Sp : Configs) {
+    if (const uint32_t *S = Memo.find(Sp.Stack.get()))
+      Sp.Stack = SimStackPtr(Block, &(*Block)[*S]);
+  }
+}
+
+/// (hash, index) of each config, sorted into the canonical order:
+/// ascending hash, ties broken by compareSubparsers. Hashes each config
+/// once.
+std::vector<std::pair<uint64_t, uint32_t>>
+canonicalOrder(const std::vector<Subparser> &Configs) {
+  std::vector<std::pair<uint64_t, uint32_t>> Keys;
+  Keys.reserve(Configs.size());
+  for (uint32_t I = 0; I < Configs.size(); ++I)
+    Keys.emplace_back(subparserHash(Configs[I]), I);
+  std::sort(Keys.begin(), Keys.end(), [&](const auto &L, const auto &R) {
+    return L.first != R.first
+               ? L.first < R.first
+               : compareSubparsers(Configs[L.second], Configs[R.second]) < 0;
+  });
+  return Keys;
 }
 
 } // namespace
 
 uint32_t SllCache::intern(std::vector<Subparser> Configs) {
-  // Canonicalize: sort configs by serialized identity, then flatten into a
-  // single key. Both backends share this canonicalization bit for bit, so
-  // state ids and contents never depend on the backend.
-  std::vector<std::pair<std::vector<uint32_t>, size_t>> Keyed;
-  Keyed.reserve(Configs.size());
-  for (size_t I = 0; I < Configs.size(); ++I) {
-    std::vector<uint32_t> Key;
-    serializeSubparser(Configs[I], Key);
-    Keyed.emplace_back(std::move(Key), I);
-  }
-  std::sort(Keyed.begin(), Keyed.end());
+  // Canonicalize: order configs by their O(1) hash-consed identity hash,
+  // breaking ties structurally. Both backends share this order, so state
+  // ids and contents never depend on the backend.
+  std::vector<std::pair<uint64_t, uint32_t>> Order = canonicalOrder(Configs);
+  uint64_t StateHash = 0x243F6A8885A308D3ull;
   std::vector<uint32_t> FlatKey;
-  for (const auto &[Key, Index] : Keyed)
-    FlatKey.insert(FlatKey.end(), Key.begin(), Key.end());
-
-  uint64_t FlatHash = 0;
   if (Backend == CacheBackend::Hashed) {
     robust::injectPoint(robust::FaultSite::HashedCacheProbe);
-    // Hash the state off the hash-consed per-config hashes (O(1) each, in
-    // canonical order) rather than re-hashing the serialized words; the
-    // interner's memcmp against FlatKey keeps equality exact.
-    FlatHash = 0x243F6A8885A308D3ull;
-    for (const auto &[Key, Index] : Keyed)
-      FlatHash = adt::mix64(FlatHash ^ subparserHash(Configs[Index]));
-    if (const uint32_t *Found = HashIntern.find(FlatKey, FlatHash))
+    // The state hash folds the per-config hashes in canonical order.
+    for (const auto &[Hash, Index] : Order)
+      StateHash = adt::mix64(StateHash ^ Hash);
+    // A hash match is verified against the stored state itself: equal
+    // config counts, and configs structurally equal position by position
+    // (short-circuiting on shared stack tails).
+    if (const uint32_t *Found = HashIntern.find(StateHash, [&](uint32_t Id) {
+          const std::vector<Subparser> &Known = States[Id].Configs;
+          if (Known.size() != Configs.size())
+            return false;
+          for (size_t I = 0; I < Known.size(); ++I)
+            if (!subparserEquals(Known[I], Configs[Order[I].second]))
+              return false;
+          return true;
+        }))
       return *Found;
-  } else if (const uint32_t *Found = AvlIntern.find(FlatKey)) {
-    return *Found;
+  } else {
+    // The paper-faithful backend keys states by their serialized configs
+    // in canonical order; comparing those word vectors is the Section 6.1
+    // cost profile this backend reproduces.
+    for (const auto &[Hash, Index] : Order)
+      serializeSubparser(Configs[Index], FlatKey);
+    if (const uint32_t *Found = AvlIntern.find(FlatKey))
+      return *Found;
   }
 
   DfaState St;
   St.Configs.reserve(Configs.size());
-  for (const auto &[Key, Index] : Keyed)
+  for (const auto &[Hash, Index] : Order)
     St.Configs.push_back(std::move(Configs[Index]));
-  // The cache outlives the parse epoch: re-anchor any arena-allocated sim
-  // stacks on the heap before the state is stored.
-  if (adt::Arena *A = adt::activeArena()) {
-    auto Block = std::make_shared<std::deque<SimStackNode>>();
-    std::vector<std::pair<const SimStackNode *, SimStackPtr>> Memo;
-    for (Subparser &Sp : St.Configs) {
-      assert(Sp.Visited.empty() &&
-             "cached configs must carry empty visited sets");
-      Sp.Stack = detachSimStack(Sp.Stack, A, Block, Memo);
-    }
-  }
+  // A cache that outlives the parse epoch re-anchors the arena-allocated
+  // sim stacks on the heap before the state is stored.
+  if (adt::Arena *A = EpochLocal ? nullptr : adt::activeArena())
+    detachConfigs(*A, St.Configs);
   std::vector<ProductionId> Preds = distinctPredictions(St.Configs);
   if (Preds.empty())
     St.Res = Resolution::Reject;
@@ -463,9 +569,7 @@ uint32_t SllCache::intern(std::vector<Subparser> Configs) {
   uint32_t Id = static_cast<uint32_t>(States.size());
   States.push_back(std::move(St));
   if (Backend == CacheBackend::Hashed) {
-    uint32_t Assigned = HashIntern.insert(FlatKey, FlatHash);
-    assert(Assigned == Id && "span interner id diverged from state id");
-    (void)Assigned;
+    HashIntern.insert(StateHash, Id);
   } else {
     robust::injectPoint(robust::FaultSite::AvlCacheInsert);
     AvlIntern = AvlIntern.insert(FlatKey, Id);

@@ -110,11 +110,13 @@ struct SimStackNode {
 inline SimStackPtr makeSimStack(SimFrame F, SimStackPtr Tail) {
   ++adt::AllocationCounters::nodes();
   if (adt::Arena *A = adt::activeArena()) {
-    // The tail is either another arena node (non-owning arenaRef already)
-    // or a cache-owned heap node (cached configs are detached to the heap
-    // at intern, and every cache outlives the epochs that read it) — so
-    // the arena node *borrows* its tail instead of refcounting it, and no
-    // finalizer is needed: the node's destructor would be a no-op.
+    // The tail is either another arena node of this epoch (non-owning
+    // arenaRef already) or a node of a cached DFA state, which lives at
+    // least as long as the epoch: an epoch-local cache keeps this epoch's
+    // arena nodes, and every other cache detaches its configs to the heap
+    // at intern. So the arena node *borrows* its tail instead of
+    // refcounting it, and no finalizer is needed: the node's destructor
+    // would be a no-op.
     return adt::arenaRef(A->createUnmanaged<SimStackNode>(
         F, SimStackPtr(SimStackPtr(), Tail.get())));
   }
@@ -150,9 +152,10 @@ struct Subparser {
   VisitedSet Visited;
 };
 
-/// Serializes a subparser's (prediction, stack) identity for deduplication
-/// and DFA-state keys. Visited sets are excluded: they only influence
-/// left-recursion errors, not simulation moves.
+/// Serializes a subparser's (prediction, stack) identity as words: the
+/// AvlPaperFaithful cache's DFA-state keys, whose comparisons are the
+/// Section 6.1 cost profile. Visited sets are excluded: they only
+/// influence left-recursion errors, not simulation moves.
 void serializeSubparser(const Subparser &Sp, std::vector<uint32_t> &Out);
 
 /// O(1) identity hash of a subparser's (prediction, stack), reading the
@@ -168,6 +171,15 @@ inline bool subparserEquals(const Subparser &A, const Subparser &B) {
   return A.Prediction == B.Prediction &&
          simStackEquals(A.Stack.get(), B.Stack.get());
 }
+
+/// A DFA state's configs are stored in one canonical order: ascending
+/// subparserHash, hash ties broken by this structural comparison — by
+/// prediction, then frame by frame from the top of the stack down as
+/// (Prod, Pos), a stack that runs out first (the shorter one) ordering
+/// first. Together a strict total order on structural identity, computed
+/// without serializing a stack. \returns <0, 0 or >0; 0 exactly when
+/// subparserEquals holds.
+int compareSubparsers(const Subparser &A, const Subparser &B);
 
 //===----------------------------------------------------------------------===//
 // Static prediction tables
@@ -224,14 +236,25 @@ enum class CacheBackend {
   /// comparison-dominated cost profile as Section 6.1.
   AvlPaperFaithful,
   /// Open-addressing hash indexes over hash-consed subparser stacks
-  /// (adt/HashIndex.h): O(1) expected per cache operation.
+  /// (adt/HashIndex.h): O(1) expected per cache operation. States are
+  /// interned by their folded config hashes and verified structurally,
+  /// never serialized.
   Hashed,
 };
 
 /// The DFA cache for SLL prediction. States are canonicalized sets of SLL
-/// subparsers; transitions are keyed by (state, terminal). The index
-/// structures are chosen by CacheBackend; state ids, contents, and every
-/// observable prediction are identical across backends.
+/// subparsers (configs in the canonical order of compareSubparsers);
+/// transitions are keyed by (state, terminal). The index structures are
+/// chosen by CacheBackend; state ids, contents, and every observable
+/// prediction are identical across backends.
+///
+/// Where a cache lives decides whether intern() copies configs out of the
+/// parse's epoch arena. A cache that outlives the run that fills it (a
+/// Parser's ReuseCache cache, BatchParser and service worker caches, a
+/// snapshot-training cache) deep-copies each new state's arena sim stacks
+/// to the heap. A Machine's own cache is destroyed before its arena can
+/// be rewound, so the Machine marks it epoch-local (setEpochLocal) and
+/// its states keep the arena stacks closure built, copying nothing.
 class SllCache {
 public:
   /// How a DFA state resolves prediction if reached mid-input.
@@ -350,9 +373,11 @@ private:
   adt::PersistentMap<uint64_t, uint32_t, CacheU64Less> AvlTransitions;
   adt::PersistentMap<NonterminalId, uint32_t, CompareNT> AvlStartStates;
   // Hashed indexes (empty under the AvlPaperFaithful backend).
-  adt::SpanIndex HashIntern;
+  adt::HashIdIndex HashIntern;
   adt::HashIndex HashTransitions;
   adt::HashIndex HashStartStates;
+  /// See setEpochLocal.
+  bool EpochLocal = false;
 
 public:
   SllCache() = default;
@@ -363,9 +388,18 @@ public:
 
   CacheBackend backend() const { return Backend; }
 
-  /// Interns \p Configs (sorted by serialized key) as a DFA state,
-  /// computing its resolution; returns the existing id when already known.
+  /// Interns \p Configs, in any order, as a DFA state whose Configs are
+  /// in canonical order (compareSubparsers), computing its resolution;
+  /// returns the existing id when the same config set is already known.
+  /// New ids are dense, in insertion order.
   uint32_t intern(std::vector<Subparser> Configs);
+
+  /// Marks this cache as living inside one arena epoch: it is destroyed
+  /// before the arena that built its states is rewound, so intern() keeps
+  /// arena sim stacks instead of detaching them. Only Machine sets it, on
+  /// the cache it owns. Copies carry the flag, since they share the same
+  /// arena stacks and so the same lifetime.
+  void setEpochLocal() { EpochLocal = true; }
 
   const DfaState &state(uint32_t Id) const {
     assert(Id < States.size() && "DFA state id out of range");

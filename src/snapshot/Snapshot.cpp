@@ -417,7 +417,7 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
       Detail = "truncated DFA state";
       return false;
     }
-    std::vector<Subparser> Configs;
+    std::vector<Subparser> Configs, Stored;
     Configs.reserve(NumConfigs);
     for (uint32_t C = 0; C < NumConfigs; ++C) {
       uint32_t Pred, StackRef;
@@ -446,17 +446,25 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
       }
       Configs.push_back(Subparser{Pred, std::move(Stack), VisitedSet()});
     }
-    // Re-intern the canonical config list and demand the stored id back:
+    // Re-intern the config list and demand the stored id back:
     // resolutions and final-prediction sets are recomputed on exactly the
     // path live training uses, so a snapshot-loaded state can never
-    // differ from its live-trained twin — and a payload whose configs are
-    // unsorted or duplicated fails this check instead of poisoning the
-    // cache.
+    // differ from its live-trained twin. intern() sorts silently, so the
+    // stored list must also already be the state's canonical list —
+    // same order, no config twice — or save(load(x)) would differ from x.
+    Stored = Configs;
     uint32_t Got = Cache->intern(std::move(Configs));
     if (Got != Sid) {
       Detail = "re-interning does not reproduce the stored state id";
       return false;
     }
+    const std::vector<Subparser> &Canonical = Cache->state(Sid).Configs;
+    for (size_t C = 0; C < Stored.size(); ++C)
+      if (!subparserEquals(Stored[C], Canonical[C]) ||
+          (C > 0 && subparserEquals(Stored[C - 1], Stored[C]))) {
+        Detail = "DFA state configs are not in canonical order";
+        return false;
+      }
   }
   // Every table node must be reachable from some config's stack:
   // orphaned entries would make save(load(x)) differ from x, breaking

@@ -46,10 +46,13 @@
 /// sim-stack node table (configs share stack tails heavily, so flat
 /// per-config chains would blow up quadratically and lose the sharing
 /// that makes config comparisons short-circuit after load) plus each DFA
-/// state's canonical config list as (prediction, node ref) pairs —
-/// resolutions, unique predictions, and final-prediction sets are
-/// recomputed by SllCache::intern on load, and load verifies that
-/// re-interning reproduces the stored state ids exactly. The lexer
+/// state's config list as (prediction, node ref) pairs in canonical
+/// order (ascending subparser hash, ties broken structurally; see
+/// compareSubparsers in core/Prediction.h) — resolutions, unique
+/// predictions, and final-prediction sets are recomputed by
+/// SllCache::intern on load, and load verifies that re-interning
+/// reproduces the stored state ids exactly and that each stored list
+/// already is its state's canonical list. The lexer
 /// section stores the minimized Dfa and per-rule terminal ids — the
 /// ScanTable is a pure function of the Dfa and is recompiled
 /// (lexer::serializeDfa), which also keeps snapshots portable across
@@ -74,8 +77,11 @@
 namespace costar {
 namespace snapshot {
 
-/// Bumped on any layout change; loads refuse other versions.
-inline constexpr uint32_t FormatVersion = 1;
+/// Bumped on any layout change; loads refuse other versions. Version 2
+/// stores each DFA state's configs in the hash-canonical order
+/// (compareSubparsers in core/Prediction.h); version 1 used
+/// serialized-word order.
+inline constexpr uint32_t FormatVersion = 2;
 /// Written natively by the producer; a consumer of the other byte order
 /// reads it as 0x04030201 and refuses the file.
 inline constexpr uint32_t EndianMark = 0x01020304u;
@@ -95,7 +101,7 @@ inline constexpr uint32_t SectionLexers = 0x4458454Cu;
 
 inline constexpr size_t HeaderBytes = 32;
 inline constexpr size_t SectionEntryBytes = 32;
-/// Sanity bound on the section count: version 1 defines two sections, so
+/// Sanity bound on the section count: the format defines two sections, so
 /// anything near this limit is a corrupted header, and bounding it keeps
 /// the table extent computation overflow-free.
 inline constexpr uint32_t MaxSections = 16;

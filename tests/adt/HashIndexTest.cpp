@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Unit and reference-model tests for the open-addressing indexes backing
-/// the Hashed SLL-cache backend (adt/HashIndex.h).
+/// the Hashed SLL-cache backend (adt/HashIndex.h). The DFA-state interner
+/// (HashIdIndex) is tested through SllCache::intern in PredictionTest.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,56 +73,4 @@ TEST(HashIndex, CountsProbes) {
   EXPECT_GT(ComparisonCounters::hashProbe(), 0u);
   ComparisonCounters::reset();
   EXPECT_EQ(ComparisonCounters::hashProbe(), 0u);
-}
-
-TEST(SpanIndex, AssignsDenseIdsInInsertionOrder) {
-  SpanIndex Idx;
-  std::vector<uint32_t> A{1, 2, 3}, B{1, 2}, C{};
-  EXPECT_EQ(Idx.insert(A, hashSpan(A)), 0u);
-  EXPECT_EQ(Idx.insert(B, hashSpan(B)), 1u);
-  EXPECT_EQ(Idx.insert(C, hashSpan(C)), 2u);
-  EXPECT_EQ(Idx.size(), 3u);
-  ASSERT_NE(Idx.find(A, hashSpan(A)), nullptr);
-  EXPECT_EQ(*Idx.find(A, hashSpan(A)), 0u);
-  EXPECT_EQ(*Idx.find(B, hashSpan(B)), 1u);
-  EXPECT_EQ(*Idx.find(C, hashSpan(C)), 2u);
-}
-
-TEST(SpanIndex, PrefixesAndExtensionsAreDistinct) {
-  // A prefix must not alias its extension even when their hashes are
-  // probed into nearby slots.
-  SpanIndex Idx;
-  std::vector<uint32_t> Keys[] = {{5}, {5, 5}, {5, 5, 5}, {5, 0}, {0, 5}};
-  uint32_t Id = 0;
-  for (const auto &K : Keys)
-    EXPECT_EQ(Idx.insert(K, hashSpan(K)), Id++);
-  Id = 0;
-  for (const auto &K : Keys) {
-    ASSERT_NE(Idx.find(K, hashSpan(K)), nullptr);
-    EXPECT_EQ(*Idx.find(K, hashSpan(K)), Id++);
-  }
-}
-
-TEST(SpanIndex, StoresKeysVerbatimThroughGrowth) {
-  SpanIndex Idx;
-  std::mt19937_64 Rng(7);
-  std::vector<std::vector<uint32_t>> Keys;
-  for (uint32_t I = 0; I < 2000; ++I) {
-    std::vector<uint32_t> Key;
-    uint32_t Len = Rng() % 12;
-    for (uint32_t J = 0; J < Len; ++J)
-      Key.push_back(static_cast<uint32_t>(Rng() % 64));
-    if (Idx.find(Key, hashSpan(Key)))
-      continue;
-    uint32_t Id = Idx.insert(Key, hashSpan(Key));
-    ASSERT_EQ(Id, Keys.size());
-    Keys.push_back(std::move(Key));
-  }
-  for (uint32_t Id = 0; Id < Keys.size(); ++Id) {
-    std::span<const uint32_t> Stored = Idx.key(Id);
-    ASSERT_EQ(Stored.size(), Keys[Id].size());
-    EXPECT_TRUE(std::equal(Stored.begin(), Stored.end(), Keys[Id].begin()));
-    ASSERT_NE(Idx.find(Keys[Id], hashSpan(Keys[Id])), nullptr);
-    EXPECT_EQ(*Idx.find(Keys[Id], hashSpan(Keys[Id])), Id);
-  }
 }

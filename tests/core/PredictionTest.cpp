@@ -20,6 +20,14 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
+#include <algorithm>
+#include <functional>
+#include <random>
+#include <string>
+#include <unordered_map>
+
 using namespace costar;
 using namespace costar::test;
 
@@ -214,4 +222,242 @@ TEST(Prediction, SerializeSubparserDistinguishesStacks) {
   std::vector<uint32_t> KA2;
   serializeSubparser(A, KA2);
   EXPECT_EQ(KA, KA2) << "serialization is deterministic";
+}
+
+namespace {
+
+/// Heap sim-stack builder for hand-made configs (no arena is active).
+struct StackBuilder {
+  const Grammar &G;
+  SimStackPtr operator()(ProductionId P, uint32_t Pos, SimStackPtr Tail) const {
+    return std::make_shared<SimStackNode>(
+        SimFrame{P, &G.production(P).Rhs, Pos}, std::move(Tail));
+  }
+};
+
+/// Eight structurally distinct configs over the Figure 2 grammar: stacks
+/// that differ in depth, in one frame, or only in their prediction, plus
+/// two final configs.
+std::vector<Subparser> sampleConfigs(const Grammar &G) {
+  StackBuilder Node{G};
+  auto Sp = [](ProductionId P, SimStackPtr Stack) {
+    return Subparser{P, std::move(Stack), VisitedSet()};
+  };
+  SimStackPtr Base = Node(1, 0, nullptr);
+  return {Sp(0, Node(0, 0, nullptr)),     Sp(0, Node(0, 1, nullptr)),
+          Sp(0, Node(2, 0, Base)),        Sp(1, Node(2, 0, Base)),
+          Sp(0, Base),                    Sp(0, Node(2, 0, Node(2, 0, Base))),
+          Sp(0, nullptr),                 Sp(1, nullptr)};
+}
+
+/// A structurally equal copy of \p Configs sharing no stack node with it.
+std::vector<Subparser> deepCopy(const Grammar &G,
+                                const std::vector<Subparser> &Configs) {
+  StackBuilder Node{G};
+  std::vector<Subparser> Out;
+  for (const Subparser &Sp : Configs) {
+    std::vector<const SimStackNode *> Frames;
+    for (const SimStackNode *N = Sp.Stack.get(); N; N = N->Tail.get())
+      Frames.push_back(N);
+    SimStackPtr Copy;
+    for (auto It = Frames.rbegin(); It != Frames.rend(); ++It)
+      Copy = Node((*It)->F.Prod, (*It)->F.Pos, Copy);
+    Out.push_back(Subparser{Sp.Prediction, Copy, VisitedSet()});
+  }
+  return Out;
+}
+
+bool sameConfigs(const std::vector<Subparser> &A,
+                 const std::vector<Subparser> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I < A.size(); ++I)
+    if (!subparserEquals(A[I], B[I]))
+      return false;
+  return true;
+}
+
+const CacheBackend BothBackends[] = {CacheBackend::AvlPaperFaithful,
+                                     CacheBackend::Hashed};
+
+} // namespace
+
+TEST(Prediction, CompareSubparsersBreaksHashTiesStructurally) {
+  Grammar G = figure2Grammar();
+  StackBuilder Node{G};
+  SimStackPtr Base = Node(1, 0, nullptr);
+  Subparser Short{0, Base, VisitedSet()};
+  Subparser Long{0, Node(0, 0, Base), VisitedSet()};
+  Subparser OtherPred{1, Base, VisitedSet()};
+  Subparser Final{0, nullptr, VisitedSet()};
+  EXPECT_LT(compareSubparsers(Short, OtherPred), 0) << "prediction first";
+  EXPECT_LT(compareSubparsers(Final, Short), 0) << "shorter stack first";
+  // Frames compare from the top down: (0, 0) on top sorts before (1, 0).
+  EXPECT_LT(compareSubparsers(Long, Short), 0);
+  EXPECT_GT(compareSubparsers(Short, Long), 0);
+  Subparser ShortCopy{0, Node(1, 0, nullptr), VisitedSet()};
+  EXPECT_EQ(compareSubparsers(Short, ShortCopy), 0);
+}
+
+TEST(Prediction, InternIsOrderInsensitiveAndStoresCanonicalOrder) {
+  Grammar G = figure2Grammar();
+  std::vector<Subparser> Configs = sampleConfigs(G);
+  std::vector<Subparser> Stored[2];
+  for (int B = 0; B < 2; ++B) {
+    SllCache Cache(BothBackends[B]);
+    ASSERT_EQ(Cache.intern(Configs), 0u);
+    const std::vector<Subparser> &Canon = Cache.state(0).Configs;
+    ASSERT_EQ(Canon.size(), Configs.size());
+    for (size_t I = 1; I < Canon.size(); ++I) {
+      uint64_t Prev = subparserHash(Canon[I - 1]);
+      uint64_t Cur = subparserHash(Canon[I]);
+      bool Ordered =
+          Prev != Cur ? Prev < Cur
+                      : compareSubparsers(Canon[I - 1], Canon[I]) < 0;
+      EXPECT_TRUE(Ordered) << "configs " << I - 1 << " and " << I
+                           << " out of order";
+    }
+    // Seeded shuffles of the list, half of them as structural copies
+    // sharing no stack node with it, intern to the same state.
+    std::mt19937 Rng(7);
+    std::vector<Subparser> Shuffled = Configs;
+    for (int Round = 0; Round < 200; ++Round) {
+      std::shuffle(Shuffled.begin(), Shuffled.end(), Rng);
+      ASSERT_EQ(Cache.intern(Round % 2 ? deepCopy(G, Shuffled) : Shuffled),
+                0u);
+    }
+    EXPECT_EQ(Cache.numStates(), 1u);
+    Stored[B] = Canon;
+  }
+  EXPECT_TRUE(sameConfigs(Stored[0], Stored[1]))
+      << "both backends store the same canonical order";
+}
+
+TEST(Prediction, InternKeepsPrefixStatesDistinctWithDenseIds) {
+  Grammar G = figure2Grammar();
+  std::vector<Subparser> All = sampleConfigs(G);
+  for (CacheBackend B : BothBackends) {
+    SllCache Cache(B);
+    // The canonical list and each of its strict prefixes are distinct
+    // states, numbered in insertion order.
+    ASSERT_EQ(Cache.intern(All), 0u);
+    std::vector<Subparser> Canon = Cache.state(0).Configs;
+    for (size_t Len = Canon.size() - 1; Len > 0; --Len) {
+      std::vector<Subparser> Prefix(Canon.begin(), Canon.begin() + Len);
+      EXPECT_EQ(Cache.intern(Prefix), Canon.size() - Len);
+    }
+    EXPECT_EQ(Cache.intern({}), Canon.size()) << "the empty state too";
+    ASSERT_EQ(Cache.numStates(), Canon.size() + 1);
+    // Re-interning finds every one of them again, in any order.
+    for (size_t Len = 1; Len < Canon.size(); ++Len) {
+      std::vector<Subparser> Prefix(Canon.begin(), Canon.begin() + Len);
+      std::reverse(Prefix.begin(), Prefix.end());
+      EXPECT_EQ(Cache.intern(deepCopy(G, Prefix)), Canon.size() - Len);
+      EXPECT_TRUE(sameConfigs(Cache.state(Canon.size() - Len).Configs,
+                              {Canon.begin(), Canon.begin() + Len}));
+    }
+    EXPECT_EQ(Cache.intern(All), 0u);
+    EXPECT_EQ(Cache.numStates(), Canon.size() + 1);
+  }
+}
+
+namespace {
+
+/// Runs \p Fn on a fresh thread with a \p StackBytes native stack, so a
+/// recursion whose depth grows with the input overflows it loudly.
+void runOnSmallStack(size_t StackBytes, const std::function<void()> &Fn) {
+  pthread_attr_t Attr;
+  ASSERT_EQ(pthread_attr_init(&Attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&Attr, StackBytes), 0);
+  pthread_t Thread;
+  auto Trampoline = [](void *Arg) -> void * {
+    (*static_cast<const std::function<void()> *>(Arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&Thread, &Attr, Trampoline,
+                           const_cast<std::function<void()> *>(&Fn)),
+            0);
+  pthread_join(Thread, nullptr);
+  pthread_attr_destroy(&Attr);
+}
+
+/// Depth of the deepest sim stack cached in \p Cache, in time linear in
+/// the distinct stack nodes (cached stacks share tails across states).
+size_t deepestCachedStack(const SllCache &Cache) {
+  std::unordered_map<const SimStackNode *, size_t> Depth{{nullptr, 0}};
+  std::vector<const SimStackNode *> Path;
+  size_t Deepest = 0;
+  for (uint32_t Id = 0; Id < Cache.numStates(); ++Id)
+    for (const Subparser &Sp : Cache.state(Id).Configs) {
+      const SimStackNode *N = Sp.Stack.get();
+      for (; !Depth.count(N); N = N->Tail.get())
+        Path.push_back(N);
+      size_t D = Depth[N];
+      for (; !Path.empty(); Path.pop_back())
+        Depth[Path.back()] = ++D;
+      Deepest = std::max(Deepest, D);
+    }
+  return Deepest;
+}
+
+} // namespace
+
+TEST(Prediction, DeepSllStacksInternOnASmallThreadStack) {
+  // Deciding S needs the token after the matching parentheses, so SLL
+  // prediction for S walks the whole input and its sim stacks reach the
+  // nesting depth. With ReuseCache the cache outlives the parse, so every
+  // new state is detached to the heap; neither that copy, interning, nor
+  // tearing the cache down may recurse per stack frame.
+  constexpr size_t Depth = 100000;
+  Grammar G = makeGrammar("S -> A x\n"
+                          "S -> A y\n"
+                          "A -> ( A )\n"
+                          "A ->\n");
+  NonterminalId S = G.lookupNonterminal("S");
+  Word W;
+  for (size_t I = 0; I < Depth; ++I)
+    W.emplace_back(G.lookupTerminal("("), "(");
+  for (size_t I = 0; I < Depth; ++I)
+    W.emplace_back(G.lookupTerminal(")"), ")");
+  W.emplace_back(G.lookupTerminal("y"), "y");
+
+  ParseOptions Opts;
+  Opts.ReuseCache = true;
+  ParseResult::Kind Kind = ParseResult::Kind::Error;
+  size_t Deepest = 0, States = 0;
+  runOnSmallStack(256 * 1024, [&] {
+    Parser P(G, S, Opts);
+    Kind = P.parse(W).kind();
+    States = P.sharedCache().numStates();
+    Deepest = deepestCachedStack(P.sharedCache());
+  });
+  EXPECT_EQ(Kind, ParseResult::Kind::Unique);
+  EXPECT_GT(States, 2 * Depth);
+  EXPECT_GE(Deepest, Depth);
+}
+
+TEST(Prediction, DetachCopiesADeepArenaStackOnASmallThreadStack) {
+  // A cache that outlives the epoch copies a new state's arena frames to
+  // the heap. Build one config whose whole 200k-frame stack is arena
+  // nodes and intern it on a 256 KiB stack: the copy must be a loop, and
+  // the copied stack must be complete and arena-free.
+  constexpr size_t Depth = 200000;
+  Grammar G = figure2Grammar();
+  adt::Arena Epoch;
+  SllCache Cache(CacheBackend::Hashed);
+  size_t Copied = 0, LeftInArena = 0;
+  runOnSmallStack(256 * 1024, [&] {
+    adt::ScopedArena Scope(&Epoch);
+    SimStackPtr Stack;
+    for (size_t I = 0; I < Depth; ++I)
+      Stack = makeSimStack(SimFrame{0, &G.production(0).Rhs, 0}, Stack);
+    uint32_t Id = Cache.intern({Subparser{0, Stack, VisitedSet()}});
+    for (const SimStackNode *N = Cache.state(Id).Configs[0].Stack.get(); N;
+         N = N->Tail.get()) {
+      ++Copied;
+      LeftInArena += Epoch.owns(N);
+    }
+  });
+  EXPECT_EQ(Copied, Depth);
+  EXPECT_EQ(LeftInArena, 0u);
 }

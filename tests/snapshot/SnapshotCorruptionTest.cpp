@@ -169,6 +169,15 @@ TEST(SnapshotCorruption, HeaderFieldMismatchesReportTheirKind) {
     EXPECT_EQ(expectRejected(B, G), SnapshotErrorKind::VersionMismatch);
   }
   {
+    // A version-1 file stores configs in serialized-word order, not the
+    // hash-canonical order: refused by version, never reinterpreted.
+    std::vector<uint8_t> B = F.Bytes;
+    uint32_t Old = 1;
+    std::memcpy(B.data() + 8, &Old, 4);
+    fixIndexHash(B);
+    EXPECT_EQ(expectRejected(B, G), SnapshotErrorKind::VersionMismatch);
+  }
+  {
     // Any header edit without the hash fix dies at the checksum wall.
     std::vector<uint8_t> B = F.Bytes;
     B[16] ^= 0x01;
@@ -369,30 +378,32 @@ TEST(SnapshotCorruption, ChecksumValidButMalformedPayloadsAreRejected) {
   }
 }
 
-TEST(SnapshotCorruption, NonCanonicalStateOrderIsRejectedNotAdopted) {
-  // A checksum-valid SLL section whose states do not re-intern to their
-  // stored ids (here: the same state stored twice) must be rejected —
-  // this is the guard that keeps a crafted file from planting DFA states
-  // the grammar could never produce.
-  Grammar G = figure2Grammar();
+namespace {
+
+/// A Hashed cache for the Figure 2 grammar trained on one word, reloaded
+/// from its own snapshot so every config stack is a heap node.
+std::shared_ptr<SllCache> trainedFigure2Cache(const Grammar &G,
+                                              const char *Input) {
   NonterminalId S = G.lookupNonterminal("S");
   GrammarAnalysis A(G, S);
   PredictionTables Tables(G, A);
   SllCache Cache(CacheBackend::Hashed);
   ParseOptions Opts;
-  Word W = makeWord(G, "a a b c");
+  Word W = makeWord(G, Input);
   Machine M(G, Tables, S, W, Opts, &Cache);
-  ASSERT_EQ(M.run().kind(), ParseResult::Kind::Unique);
-  ASSERT_GT(Cache.numStates(), 1u);
+  EXPECT_EQ(M.run().kind(), ParseResult::Kind::Unique);
+  snapshot::LoadResult Good = snapshot::parseSnapshotBytes(
+      snapshot::buildSnapshotBytes(G, &Cache, {}), G);
+  EXPECT_TRUE(Good.ok());
+  return Good.Contents.Cache;
+}
 
-  std::vector<uint8_t> Bytes = snapshot::buildSnapshotBytes(G, &Cache, {});
-  snapshot::LoadResult Good = snapshot::parseSnapshotBytes(Bytes, G);
-  ASSERT_TRUE(Good.ok());
-
-  // Re-serialize with state 0 duplicated as state 1: emit state 0's node
-  // table and config list (mirroring the writer's hash-consed encoding),
-  // then reference the same configs from a second state entry.
-  const SllCache &C = *Good.Contents.Cache;
+/// Serializes \p States (each a config list, in the given order) as a
+/// checksum-valid Hashed SLL section with no starts or transitions,
+/// mirroring the writer's hash-consed node-table encoding.
+std::vector<uint8_t>
+craftSllSnapshot(const Grammar &G,
+                 const std::vector<std::vector<Subparser>> &States) {
   std::vector<uint32_t> NodeWords, StateWords;
   std::map<const SimStackNode *, uint32_t> Ptr;
   std::map<std::array<uint32_t, 3>, uint32_t> Struct;
@@ -414,10 +425,9 @@ TEST(SnapshotCorruption, NonCanonicalStateOrderIsRejectedNotAdopted) {
     }
     return Ref;
   };
-  for (int Copy = 0; Copy < 2; ++Copy) { // the same state, twice
-    const SllCache::DfaState &St = C.state(0);
-    StateWords.push_back(static_cast<uint32_t>(St.Configs.size()));
-    for (const Subparser &Sp : St.Configs) {
+  for (const std::vector<Subparser> &Configs : States) {
+    StateWords.push_back(static_cast<uint32_t>(Configs.size()));
+    for (const Subparser &Sp : Configs) {
       StateWords.push_back(Sp.Prediction);
       StateWords.push_back(EmitStack(Sp.Stack.get()));
     }
@@ -425,7 +435,7 @@ TEST(SnapshotCorruption, NonCanonicalStateOrderIsRejectedNotAdopted) {
   std::vector<uint32_t> Words = {
       snapshot::BackendTagHashed,
       static_cast<uint32_t>(NodeWords.size() / 3),
-      /*NumStates=*/2, 0, 0, 0};
+      static_cast<uint32_t>(States.size()), 0, 0, 0};
   Words.insert(Words.end(), NodeWords.begin(), NodeWords.end());
   Words.insert(Words.end(), StateWords.begin(), StateWords.end());
   std::vector<uint8_t> Payload;
@@ -434,9 +444,81 @@ TEST(SnapshotCorruption, NonCanonicalStateOrderIsRejectedNotAdopted) {
   snapshot::SnapshotBuilder B(snapshot::grammarFingerprint(G),
                               snapshot::BackendTagHashed);
   B.addSection(snapshot::SectionSllCache, std::move(Payload));
-  snapshot::LoadResult R = snapshot::parseSnapshotBytes(B.finish(), G);
+  return B.finish();
+}
+
+/// The config lists of every state of \p C, in id order.
+std::vector<std::vector<Subparser>> stateConfigs(const SllCache &C) {
+  std::vector<std::vector<Subparser>> States;
+  for (uint32_t Id = 0; Id < C.numStates(); ++Id)
+    States.push_back(C.state(Id).Configs);
+  return States;
+}
+
+/// The first state of \p C with at least two configs.
+uint32_t firstMultiConfigState(const SllCache &C) {
+  for (uint32_t Id = 0; Id < C.numStates(); ++Id)
+    if (C.state(Id).Configs.size() >= 2)
+      return Id;
+  ADD_FAILURE() << "no DFA state with two configs";
+  return 0;
+}
+
+} // namespace
+
+TEST(SnapshotCorruption, NonCanonicalStateOrderIsRejectedNotAdopted) {
+  // A checksum-valid SLL section whose states do not re-intern to their
+  // stored ids (here: the same state stored twice) must be rejected —
+  // this is the guard that keeps a crafted file from planting DFA states
+  // the grammar could never produce.
+  Grammar G = figure2Grammar();
+  std::shared_ptr<SllCache> C = trainedFigure2Cache(G, "a a b c");
+  ASSERT_TRUE(C);
+  ASSERT_GT(C->numStates(), 1u);
+  ASSERT_TRUE(snapshot::parseSnapshotBytes(
+                  craftSllSnapshot(G, {C->state(0).Configs}), G)
+                  .ok())
+      << "the crafted encoding itself must load";
+  snapshot::LoadResult R = snapshot::parseSnapshotBytes(
+      craftSllSnapshot(G, {C->state(0).Configs, C->state(0).Configs}), G);
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.Err->Kind, SnapshotErrorKind::Malformed);
+}
+
+TEST(SnapshotCorruption, SwappedConfigsAreRejectedNotAdopted) {
+  // intern() sorts its input, so a state stored with two configs swapped
+  // still re-interns to its id; the load must compare the stored list
+  // with the canonical one, or save(load(x)) would differ from x.
+  Grammar G = figure2Grammar();
+  std::shared_ptr<SllCache> C = trainedFigure2Cache(G, "a a b c");
+  ASSERT_TRUE(C);
+  std::vector<std::vector<Subparser>> States = stateConfigs(*C);
+  ASSERT_TRUE(snapshot::parseSnapshotBytes(craftSllSnapshot(G, States), G)
+                  .ok());
+  std::vector<Subparser> &Victim = States[firstMultiConfigState(*C)];
+  std::swap(Victim[0], Victim[1]);
+  snapshot::LoadResult R =
+      snapshot::parseSnapshotBytes(craftSllSnapshot(G, States), G);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Err->Kind, SnapshotErrorKind::Malformed);
+  EXPECT_EQ(R.Contents.Cache, nullptr);
+}
+
+TEST(SnapshotCorruption, RepeatedConfigIsRejectedNotAdopted) {
+  // Closure never emits one config twice; a state stored with a repeated
+  // config is one the grammar cannot produce, even though its list is
+  // sorted and re-interns to its stored id.
+  Grammar G = figure2Grammar();
+  std::shared_ptr<SllCache> C = trainedFigure2Cache(G, "a a b c");
+  ASSERT_TRUE(C);
+  std::vector<std::vector<Subparser>> States = stateConfigs(*C);
+  std::vector<Subparser> &Victim = States[firstMultiConfigState(*C)];
+  Victim.insert(Victim.begin(), Victim.front());
+  snapshot::LoadResult R =
+      snapshot::parseSnapshotBytes(craftSllSnapshot(G, States), G);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Err->Kind, SnapshotErrorKind::Malformed);
+  EXPECT_EQ(R.Contents.Cache, nullptr);
 }
 
 TEST(SnapshotCorruption, FileIoErrorsAreStructured) {
