@@ -11,13 +11,11 @@
 /// implementation's GC cost that Section 6.1 blames for the slowdown on
 /// small grammars) vs. Arena (parse-scoped epoch arenas, adt/Arena.h).
 ///
-/// Three variants are timed:
+/// Two variants are timed:
 ///
 ///   sharedptr    AllocBackend::SharedPtrPaperFaithful
-///   arena        AllocBackend::Arena, results detached (deep-copied out
-///                of the epoch) — the default configuration
-///   arena-epoch  AllocBackend::Arena with DetachResults == false: results
-///                escape zero-copy by co-owning their epoch's arena
+///   arena        AllocBackend::Arena, the default: results escape
+///                zero-copy by co-owning their parse's result arena
 ///
 /// over two regimes on the same pre-lexed corpus per language (JSON, XML,
 /// DOT, Python):
@@ -32,11 +30,9 @@
 /// pressure, not a shared unit — see EXPERIMENTS.md).
 ///
 /// Writes BENCH_alloc.json in the uniform BenchRecord schema. Hard gate:
-/// the arena backend's zero-copy escape mode (arena-epoch) must deliver
-/// >= 1.3x tokens/sec over sharedptr on the warm small-grammar suite
-/// (JSON + DOT aggregate), the regime the tentpole targets; the process
-/// exits nonzero otherwise and CI fails. The detached-results variant is
-/// reported alongside so the escape-mode cost stays visible.
+/// the arena backend must deliver >= 1.3x tokens/sec over sharedptr on the
+/// warm small-grammar suite (JSON + DOT aggregate), the regime the
+/// tentpole targets; the process exits nonzero otherwise and CI fails.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,13 +52,11 @@ namespace {
 struct Variant {
   const char *Name;
   adt::AllocBackend Backend;
-  bool DetachResults;
 };
 
 constexpr Variant Variants[] = {
-    {"sharedptr", adt::AllocBackend::SharedPtrPaperFaithful, true},
-    {"arena", adt::AllocBackend::Arena, true},
-    {"arena-epoch", adt::AllocBackend::Arena, false},
+    {"sharedptr", adt::AllocBackend::SharedPtrPaperFaithful},
+    {"arena", adt::AllocBackend::Arena},
 };
 
 struct Measurement {
@@ -83,8 +77,7 @@ struct Measurement {
 /// One timed pass over the corpus; allocation counters are taken from an
 /// untimed instrumented rerun of the identical configuration (parses are
 /// deterministic, so the work is the same). Each result is dropped before
-/// the next parse, so the arena-epoch variant stays in its warmed-slab
-/// steady state.
+/// the next parse, so the arena variant reuses its warmed result arena.
 Measurement measurePass(const char *Regime, const BenchCorpus &C,
                         const Variant &V, bool Reuse,
                         const BenchOptions &Bench) {
@@ -96,7 +89,6 @@ Measurement measurePass(const char *Regime, const BenchCorpus &C,
 
   ParseOptions Opts;
   Opts.Alloc = V.Backend;
-  Opts.DetachResults = V.DetachResults;
   Opts.ReuseCache = Reuse;
   Parser P(C.L.G, C.L.Start, Opts);
   // The BenchOptions warmup doubles as the cache/arena warm pass: after
@@ -128,9 +120,9 @@ int main(int Argc, char **Argv) {
   std::vector<BenchRecord> Records;
   // The gate aggregates the warm small-grammar suite (JSON + DOT): total
   // tokens over total seconds, per variant.
-  constexpr int NumVariants = 3;
-  double SmallSuiteSeconds[NumVariants] = {0, 0, 0};
-  uint64_t SmallSuiteTokens[NumVariants] = {0, 0, 0};
+  constexpr int NumVariants = 2;
+  double SmallSuiteSeconds[NumVariants] = {0, 0};
+  uint64_t SmallSuiteTokens[NumVariants] = {0, 0};
 
   for (lang::LangId Id : lang::allLanguages()) {
     BenchCorpus C = makeCorpus(Id, 24, 100,
@@ -138,8 +130,8 @@ int main(int Argc, char **Argv) {
     stats::Table T({8, 14, 10, 14, 14, 12});
     T.row({"regime", "variant", "ms", "tokens/sec", "bytes/tok", "nodes/tok"});
     T.sep();
-    double WarmSeconds[NumVariants] = {0, 0, 0};
-    double ColdSeconds[NumVariants] = {0, 0, 0};
+    double WarmSeconds[NumVariants] = {0, 0};
+    double ColdSeconds[NumVariants] = {0, 0};
     for (int VI = 0; VI < NumVariants; ++VI) {
       const Variant &V = Variants[VI];
       Measurement Cold = measurePass("cold", C, V, /*Reuse=*/false, Bench);
@@ -167,12 +159,9 @@ int main(int Argc, char **Argv) {
                 C.L.G.numProductions(),
                 static_cast<unsigned long long>(C.TotalTokens));
     std::fputs(T.str().c_str(), stdout);
-    std::printf("speedup vs sharedptr: cold %.2fx (detached) / %.2fx "
-                "(epoch), warm %.2fx (detached) / %.2fx (epoch)\n\n",
+    std::printf("arena speedup vs sharedptr: cold %.2fx, warm %.2fx\n\n",
                 ColdSeconds[0] / ColdSeconds[1],
-                ColdSeconds[0] / ColdSeconds[2],
-                WarmSeconds[0] / WarmSeconds[1],
-                WarmSeconds[0] / WarmSeconds[2]);
+                WarmSeconds[0] / WarmSeconds[1]);
   }
 
   double Suite[NumVariants];
@@ -181,20 +170,13 @@ int main(int Argc, char **Argv) {
     Records.push_back({std::string("warm/small-suite/") + Variants[VI].Name,
                        "tokens_per_sec", Suite[VI], "tok/s"});
   }
-  double DetachedSpeedup = Suite[1] / Suite[0];
-  double EpochSpeedup = Suite[2] / Suite[0];
-  Records.push_back(
-      {"warm/small-suite", "arena_speedup", DetachedSpeedup, "x"});
-  Records.push_back(
-      {"warm/small-suite", "arena_epoch_speedup", EpochSpeedup, "x"});
+  double Speedup = Suite[1] / Suite[0];
+  Records.push_back({"warm/small-suite", "arena_speedup", Speedup, "x"});
 
   writeBenchJson(Records, Bench.JsonOut);
 
-  std::printf("\nwarm small-grammar suite: arena %.2fx, arena-epoch %.2fx "
-              "vs sharedptr\n",
-              DetachedSpeedup, EpochSpeedup);
-  std::printf("Shape check (arena-epoch >= 1.3x tokens/sec on the warm "
-              "small-grammar suite): %s (%.2fx)\n",
-              EpochSpeedup >= 1.3 ? "HOLDS" : "VIOLATED", EpochSpeedup);
-  return EpochSpeedup >= 1.3 ? 0 : 1;
+  std::printf("\nShape check (arena >= 1.3x tokens/sec over sharedptr on "
+              "the warm small-grammar suite): %s (%.2fx)\n",
+              Speedup >= 1.3 ? "HOLDS" : "VIOLATED", Speedup);
+  return Speedup >= 1.3 ? 0 : 1;
 }

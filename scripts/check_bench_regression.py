@@ -68,7 +68,6 @@ def lower(name, metric, tolerance=0.10, bound=None, min_parallel=None,
 GATES = {
     "BENCH_alloc.json": [
         higher("warm/small-suite", "arena_speedup"),
-        higher("warm/small-suite", "arena_epoch_speedup"),
     ],
     "BENCH_micro.json": [
         # The membership ratio is huge (10-30x) but its denominator — the

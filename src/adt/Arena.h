@@ -12,26 +12,33 @@
 /// traffic per parse-tree node, subparser stack node, and frame forest. An
 /// Arena replaces all of that with a pointer bump: allocations live until
 /// the next epoch reset(), which rewinds the bump pointer while *retaining*
-/// the slabs, so a long-lived arena (one per Parser, one per BatchParser
-/// worker thread) reaches a zero-malloc steady state after the first parse.
+/// the slabs, so a long-lived arena reaches a zero-malloc steady state
+/// after the first parse.
+///
+/// A parse uses two arenas (Machine::run()):
+///  - The *scratch* arena (one per Parser, Machine, BatchParser or service
+///    worker, or the caller's ParseOptions::AllocArena) holds sim stacks,
+///    visited sets and closure work. It is rewound at the start of every
+///    run and nothing in it escapes.
+///  - The *result* arena holds only tree nodes and their forest buffers.
+///    Each scratch arena keeps the result arena of its last parse
+///    (nextResultArena()); an accepted result co-owns it (handOff()), and
+///    the next parse rewinds it only if no result holds it any more and
+///    it is not far larger than that parse needs.
 ///
 /// Lifetime rules:
 ///  - One mutating thread per arena. Arenas are not thread-safe for
-///    allocation; BatchParser gives each worker its own. Destruction may
-///    happen on any thread (a parse result that co-owns its epoch under
-///    ParseOptions::DetachResults == false can be dropped anywhere), so
-///    the live-arena registry behind ownedByLiveArena() is global and
-///    lock-protected.
+///    allocation; BatchParser and the service give each worker its own.
+///    A result arena may be destroyed on any thread: the result that owns
+///    it can be dropped anywhere.
 ///  - reset() runs the registered finalizers (destructors of
 ///    non-trivially-destructible objects from create()) in reverse order,
-///    then rewinds. Anything that must survive an epoch is either
-///    deep-copied out (Tree::detach(), SllCache's config detachment) or
-///    keeps the whole epoch alive by sharing ownership of the arena
-///    (Machine/Parser epoch handoff).
-///  - Machine::run() resets its arena at the *start* of the run, so the
+///    then rewinds. Anything that must survive an epoch either lives in a
+///    result arena that a result holds, or is copied out (SllCache's
+///    config detachment for caches that outlive the run).
+///  - Machine::run() resets its arenas at the *start* of the run, so the
 ///    previous parse's machine state stays introspectable until the next
-///    parse begins. An epoch that escaped into a result is never reset —
-///    the owner swaps in a fresh arena instead.
+///    parse begins.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,13 +48,12 @@
 #include "adt/Instrument.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
-#include <shared_mutex>
 #include <type_traits>
 #include <vector>
 
@@ -161,13 +167,36 @@ public:
     return false;
   }
 
-  /// \returns true if \p P is owned by any live arena, on any thread.
-  /// EpochAllocator uses this to route deallocations: arena-backed buffers
-  /// are reclaimed by the epoch, everything else goes back to the heap.
-  /// Deterministic because arenas retain their slabs until destruction,
-  /// and correct across threads (shared-locked global registry) because a
-  /// handed-off epoch may be destroyed far from the thread that filled it.
-  static bool ownedByLiveArena(const void *P);
+  /// Opens the next result epoch paired with this scratch arena and
+  /// \returns its result arena: the one the previous call returned,
+  /// rewound, when no handOff() handle to it is alive any more and its
+  /// slabs add up to at most ReuseFactor times \p FirstSlabBytes;
+  /// otherwise a fresh arena whose first slab is \p FirstSlabBytes. The
+  /// size check keeps a small result, which may be held long after, from
+  /// pinning slabs an earlier large parse grew. A held arena is left to
+  /// the results that hold it.
+  std::shared_ptr<Arena> nextResultArena(size_t FirstSlabBytes);
+  static constexpr size_t ReuseFactor = 4;
+
+  /// The result arena the last nextResultArena() returned (null before
+  /// the first call). For tests and diagnostics.
+  const Arena *pairedResults() const { return Results.get(); }
+
+  /// \returns an owning handle to \p Obj, an object in \p Results: the
+  /// handle keeps the arena alive, and while any copy of it lives the
+  /// arena counts as held, so nextResultArena() will not rewind it. The
+  /// hold count is atomic because a result may be dropped on another
+  /// thread: that drop happens before the count nextResultArena() reads,
+  /// so the holder has finished reading the epoch before it is rewound.
+  template <typename T>
+  static std::shared_ptr<const T> handOff(std::shared_ptr<Arena> Results,
+                                          const T *Obj) {
+    Arena *A = Results.get();
+    ++A->Holders;
+    std::shared_ptr<Arena> Hold(
+        A, [Keep = std::move(Results)](Arena *Held) { --Held->Holders; });
+    return std::shared_ptr<const T>(std::move(Hold), Obj);
+  }
 
   uint64_t epoch() const { return EpochCount; }
   uint64_t bytesAllocated() const { return LifetimeBytes; }
@@ -200,46 +229,21 @@ private:
   uint64_t LifetimeBytes = 0;
   uint64_t LifetimeObjects = 0;
   uint64_t EpochCount = 0;
+  /// On a scratch arena: the result arena of its last parse.
+  std::shared_ptr<Arena> Results;
+  /// On a result arena: the number of live handOff() handles.
+  std::atomic<uint32_t> Holders{0};
 
   void *allocSlow(size_t Bytes);
 };
 
-/// The global live-arena registry behind ownedByLiveArena(). Registration
-/// and slab growth take the lock exclusively (both rare: arena creation
-/// and the logarithmic slab-doubling tail); cross-thread ownership probes
-/// take it shared. Same-thread probes of the *active* arena (the
-/// EpochAllocator fast path) stay lock-free — only the arena's own thread
-/// ever bumps or grows it.
-struct ArenaRegistry {
-  std::shared_mutex Mutex;
-  std::vector<Arena *> Arenas;
-};
-
-inline ArenaRegistry &arenaRegistry() {
-  static ArenaRegistry Registry;
-  return Registry;
-}
-
-inline Arena::Arena(size_t FirstSlabBytes) : NextSlabBytes(FirstSlabBytes) {
-  ArenaRegistry &R = arenaRegistry();
-  std::unique_lock<std::shared_mutex> Lock(R.Mutex);
-  R.Arenas.push_back(this);
-}
+inline Arena::Arena(size_t FirstSlabBytes) : NextSlabBytes(FirstSlabBytes) {}
 
 inline Arena::~Arena() {
-  // Finalizers run while the arena is still registered: a finalized
-  // container's buffer deallocation must still route to "epoch-owned".
   for (auto It = Finalizers.rbegin(); It != Finalizers.rend(); ++It)
     It->Fn(It->Obj);
   for (const Slab &S : Slabs)
     COSTAR_ARENA_UNPOISON(S.Mem.get(), S.Size);
-  ArenaRegistry &R = arenaRegistry();
-  std::unique_lock<std::shared_mutex> Lock(R.Mutex);
-  for (size_t I = 0; I < R.Arenas.size(); ++I)
-    if (R.Arenas[I] == this) {
-      R.Arenas.erase(R.Arenas.begin() + I);
-      break;
-    }
 }
 
 inline void *Arena::allocSlow(size_t Bytes) {
@@ -254,29 +258,22 @@ inline void *Arena::allocSlow(size_t Bytes) {
       return Slabs[Next].Mem.get();
     }
   // Grow: doubling sizes, floored so a zero-capacity arena still grows and
-  // an oversized request gets a dedicated slab. The push_back takes the
-  // registry lock exclusively: other threads may be walking this Slabs
-  // vector through ownedByLiveArena() at the same moment.
+  // an oversized request gets a dedicated slab.
   size_t NewSize = std::max({NextSlabBytes, Bytes, MinSlabBytes});
   NextSlabBytes = std::min(NewSize * 2, MaxSlabBytes);
-  Slab New{std::unique_ptr<char[]>(new char[NewSize]), NewSize};
-  {
-    ArenaRegistry &R = arenaRegistry();
-    std::unique_lock<std::shared_mutex> Lock(R.Mutex);
-    Slabs.push_back(std::move(New));
-  }
+  Slabs.push_back(Slab{std::unique_ptr<char[]>(new char[NewSize]), NewSize});
   CurSlab = Slabs.size() - 1;
   CurUsed = Bytes;
   return Slabs[CurSlab].Mem.get();
 }
 
-inline bool Arena::ownedByLiveArena(const void *P) {
-  ArenaRegistry &R = arenaRegistry();
-  std::shared_lock<std::shared_mutex> Lock(R.Mutex);
-  for (Arena *A : R.Arenas)
-    if (A->owns(P))
-      return true;
-  return false;
+inline std::shared_ptr<Arena> Arena::nextResultArena(size_t FirstSlabBytes) {
+  if (Results && Results->Holders == 0 &&
+      Results->capacity() <= ReuseFactor * FirstSlabBytes)
+    Results->reset();
+  else
+    Results = std::make_shared<Arena>(FirstSlabBytes);
+  return Results;
 }
 
 } // namespace adt

@@ -11,19 +11,19 @@
 ///
 ///  - AllocBackend selects the substrate per parse (ParseOptions::Alloc),
 ///    mirroring how CacheBackend dual-backs the SLL cache.
-///  - activeArena()/ScopedArena install a thread-local arena for the
-///    duration of one Machine::run(), the same pattern as
-///    robust::ScopedFaultInjector.
+///  - ScopedArena installs a thread-local pair of arenas for the duration
+///    of one Machine::run(), the same pattern as
+///    robust::ScopedFaultInjector: scratchArena() for sim stacks and
+///    visited sets, resultArena() for tree nodes and forest buffers.
 ///  - arenaRef() wraps an arena-owned object in a *non-owning* aliased
 ///    shared_ptr (null control block): copies are two plain words with no
 ///    atomic refcount traffic, and destruction is a no-op — the epoch owns
 ///    the object.
-///  - EpochAllocator routes STL container buffers (Forest) into the active
-///    arena; deallocation consults the global live-arena registry, so a
-///    buffer allocated in an epoch is reclaimed by the epoch no matter
-///    when — or on which thread — its container is destroyed.
-///  - EpochNodePolicy does the same for PersistentMap/PersistentSet nodes
-///    (the machine's visited sets), which churn on every push/return.
+///  - EpochAllocator routes forest buffers into the installed result
+///    arena.
+///  - EpochNodePolicy routes PersistentMap/PersistentSet nodes (the
+///    machine's visited sets), which churn on every push/return, into the
+///    installed scratch arena.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,27 +63,32 @@ inline const char *allocBackendName(AllocBackend B) {
   return "unknown";
 }
 
-/// The arena installed on this thread (null when parse-path allocations
-/// should fall back to the heap).
-inline Arena *&activeArenaSlot() {
-  thread_local Arena *Active = nullptr;
-  return Active;
+/// The arenas installed on this thread. Both null when parse-path
+/// allocations should fall back to the heap.
+struct InstalledArenas {
+  Arena *Scratch = nullptr;
+  Arena *Result = nullptr;
+};
+
+inline InstalledArenas &installedArenas() {
+  thread_local InstalledArenas Installed;
+  return Installed;
 }
 
-inline Arena *activeArena() { return activeArenaSlot(); }
+inline Arena *scratchArena() { return installedArenas().Scratch; }
+inline Arena *resultArena() { return installedArenas().Result; }
 
-/// RAII installation of an arena as the thread's active allocation target
-/// (Machine::run() holds one for the duration of the parse). Installing
-/// nullptr *suppresses* an outer arena — Tree::detach() uses this so the
-/// escaping copy is heap-owned even while an epoch is active.
+/// RAII installation of a scratch and a result arena as the thread's
+/// allocation targets (Machine::run() holds one for the duration of the
+/// parse); the previous pair is restored on destruction.
 class ScopedArena {
-  Arena *Prev;
+  InstalledArenas Prev;
 
 public:
-  explicit ScopedArena(Arena *A) : Prev(activeArenaSlot()) {
-    activeArenaSlot() = A;
+  ScopedArena(Arena *Scratch, Arena *Result) : Prev(installedArenas()) {
+    installedArenas() = InstalledArenas{Scratch, Result};
   }
-  ~ScopedArena() { activeArenaSlot() = Prev; }
+  ~ScopedArena() { installedArenas() = Prev; }
   ScopedArena(const ScopedArena &) = delete;
   ScopedArena &operator=(const ScopedArena &) = delete;
 };
@@ -103,11 +108,14 @@ std::shared_ptr<const T> arenaRef(const T *Obj) {
   return std::shared_ptr<const T>(std::shared_ptr<const T>(), Obj);
 }
 
-/// A stateless STL allocator that bump-allocates from the thread's active
-/// arena when one is installed and from the heap otherwise. Deallocation
-/// routes by ownership, not by install state: arena-backed buffers are
-/// no-ops (the epoch reclaims them), heap buffers are deleted — correct
-/// even when the container dies long after the ScopedArena was popped.
+/// A stateless STL allocator that bump-allocates from the thread's
+/// installed result arena, and from the heap when none is installed. A
+/// buffer the installed arena owns is freed with the epoch, so
+/// deallocate() skips it; every other buffer goes back to the heap. That
+/// routing is exact because arena buffers are only ever released while
+/// their arena is installed: tree nodes in an arena are never destroyed
+/// (leaves own no buffer), and a Machine tears down the frames it still
+/// holds inside its own ScopedArena.
 template <typename T> struct EpochAllocator {
   using value_type = T;
 
@@ -116,20 +124,14 @@ template <typename T> struct EpochAllocator {
 
   T *allocate(size_t N) {
     size_t Bytes = N * sizeof(T);
-    if (Arena *A = activeArena())
+    if (Arena *A = resultArena())
       return static_cast<T *>(A->allocRaw(Bytes, alignof(T)));
     AllocationCounters::bytes() += Bytes;
     return static_cast<T *>(::operator new(Bytes));
   }
 
   void deallocate(T *P, size_t) {
-    // Fast path: during a parse, almost every buffer belongs to the
-    // installed arena — one owns() probe instead of a registry walk.
-    if (Arena *A = activeArena()) {
-      if (A->owns(P))
-        return;
-    }
-    if (Arena::ownedByLiveArena(P))
+    if (Arena *A = resultArena(); A && A->owns(P))
       return;
     ::operator delete(P);
   }
@@ -143,11 +145,11 @@ template <typename T> struct EpochAllocator {
 };
 
 /// PersistentMap node policy that allocates path-copy nodes from the
-/// active arena (as non-owning handles) when one is installed. Only safe
-/// for maps that never outlive the epoch — the machine's and subparsers'
-/// visited sets qualify (cached DFA configs carry *empty* visited sets,
-/// asserted at intern time); the SLL cache's own AVL indexes must keep the
-/// default heap policy because caches outlive parses.
+/// installed scratch arena (as non-owning handles) when there is one.
+/// Only safe for maps that never outlive the epoch — the machine's and
+/// subparsers' visited sets qualify (cached DFA configs carry *empty*
+/// visited sets, asserted at intern time); the SLL cache's own AVL indexes
+/// must keep the default heap policy because caches outlive parses.
 struct EpochNodePolicy {
   template <typename NodeT, typename... ArgTs>
   static std::shared_ptr<const NodeT> make(ArgTs &&...Args) {
@@ -157,7 +159,7 @@ struct EpochNodePolicy {
     // destructor has nothing to do. This holds for the visited sets
     // because they start empty each parse and cached DFA configs carry
     // empty visited sets (asserted at intern).
-    if (Arena *A = activeArena())
+    if (Arena *A = scratchArena())
       return arenaRef(A->createUnmanaged<NodeT>(std::forward<ArgTs>(Args)...));
     return std::make_shared<const NodeT>(std::forward<ArgTs>(Args)...);
   }

@@ -57,9 +57,9 @@ struct ComparisonCounters {
 struct AllocationCounters {
   /// Tree and SimStackNode constructions on this thread. Counted at the
   /// creation helpers (Tree::leaf/node, makeSimStack), *not* in the node
-  /// constructors, so epoch-escaping deep copies (Tree::detach, cached
-  /// config detachment) stay invisible and the count is identical across
-  /// allocation backends.
+  /// constructors, so the heap copies of configs a long-lived cache keeps
+  /// stay invisible and the count is identical across allocation
+  /// backends.
   static uint64_t &nodes() {
     thread_local uint64_t Count = 0;
     return Count;

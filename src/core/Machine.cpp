@@ -23,6 +23,16 @@ inline void traceEvent(obs::Tracer *T, obs::EventKind K, uint32_t A = 0,
     T->emit(K, A, B, Value, Pos);
 }
 
+/// First slab of a fresh result arena, from the input length: three tree
+/// nodes per token, each with its slot in a parent's forest. The bundled
+/// languages build 2.0 (XML) to 7.6 (Python) nodes per token, and with
+/// slabs doubling from there every one of them fills its result arena to
+/// within about 2.2x of the tree's own bytes, so a result held past the
+/// next parse pins little beyond its tree.
+size_t resultSlabBytes(size_t Tokens) {
+  return (Tokens + 1) * 3 * (sizeof(Tree) + sizeof(TreePtr));
+}
+
 } // namespace
 
 Machine::Machine(const Grammar &G, const PredictionTables &Tables,
@@ -32,7 +42,7 @@ Machine::Machine(const Grammar &G, const PredictionTables &Tables,
       Input(Input), OwnedCache(Opts.Backend),
       Cache(SharedCache ? SharedCache : &OwnedCache), Opts(Opts) {
   if (this->Opts.Alloc == adt::AllocBackend::Arena && !this->Opts.AllocArena)
-    OwnedArena = std::make_shared<adt::Arena>();
+    OwnedArena = std::make_unique<adt::Arena>();
   // The machine's own cache dies with the machine, before its arena can be
   // rewound by anyone else's run, so its states may keep arena sim stacks.
   OwnedCache.setEpochLocal();
@@ -40,6 +50,17 @@ Machine::Machine(const Grammar &G, const PredictionTables &Tables,
   CacheHitsAtStart = Cache->Hits;
   CacheMissesAtStart = Cache->Misses;
   CacheStatesAtStart = Cache->numStates();
+}
+
+Machine::~Machine() {
+  // Frames still on the stack (the bottom frame of an accepted parse, or
+  // a rejected, failed or stopped parse's whole stack) hold forest buffers
+  // in the result arena. Free them while it is installed, where
+  // EpochAllocator knows them for arena memory.
+  if (Results) {
+    adt::ScopedArena Scope(/*Scratch=*/nullptr, Results.get());
+    Stack.clear();
+  }
 }
 
 std::optional<ParseResult> Machine::stepImpl() {
@@ -148,6 +169,9 @@ std::optional<ParseResult> Machine::stepImpl() {
                          "wrong nonterminal");
     Visited = Visited.insert(X);
     Stack.push_back(Frame{Prediction.Prod, &P.Rhs, 0, {}});
+    // Exactly sized: the forest never regrows, so no dead buffer is left
+    // in the result arena.
+    Stack.back().Trees.reserve(P.Rhs.size());
     return std::nullopt;
   }
   case PredictionResult::Kind::Reject:
@@ -167,56 +191,41 @@ ParseResult Machine::run() {
   std::optional<robust::ScopedFaultInjector> FaultScope;
   if (Opts.Faults)
     FaultScope.emplace(*Opts.Faults);
-  // Open the allocation epoch: rewind the arena (reclaiming the previous
-  // parse's nodes wholesale — the epoch spans from one run start to the
-  // next, so post-run stack()/stats() introspection stays valid) and
-  // install it as the thread's active arena for every allocation the run
-  // performs. Manual step() drivers never install an arena and therefore
-  // get owning heap allocations regardless of Opts.Alloc.
-  adt::Arena *Epoch = nullptr;
+  // Open the allocation epoch: rewind the scratch arena (reclaiming the
+  // previous parse's machine state wholesale — the epoch spans from one
+  // run start to the next, so post-run stack()/stats() introspection stays
+  // valid), take the result arena paired with it, and install both for
+  // every allocation the run performs. Manual step() drivers never
+  // install an arena and therefore get owning heap allocations regardless
+  // of Opts.Alloc.
+  adt::Arena *Scratch = nullptr;
   if (Opts.Alloc == adt::AllocBackend::Arena) {
     // One epoch per machine: a second run() would rewind the arena under
     // this machine's own frames, trees and epoch-local cache states.
-    assert(!EpochOpened && "Machine::run() opens one arena epoch; use a "
-                           "fresh Machine per parse");
-    EpochOpened = true;
-    // A previous epoch that escaped into a handed-off result must never be
-    // reset; swap in a fresh arena and let the result keep the old one.
-    if (!Opts.AllocArena && OwnedArena.use_count() > 1)
-      OwnedArena = std::make_shared<adt::Arena>();
-    Epoch = Opts.AllocArena ? Opts.AllocArena : OwnedArena.get();
-    Epoch->reset();
+    assert(!Results && "Machine::run() opens one arena epoch; use a fresh "
+                       "Machine per parse");
+    Scratch = Opts.AllocArena ? Opts.AllocArena : OwnedArena.get();
+    Scratch->reset();
+    Results = Scratch->nextResultArena(resultSlabBytes(Input.size()));
   }
   std::optional<adt::ScopedArena> ArenaScope;
-  if (Epoch)
-    ArenaScope.emplace(Epoch);
+  if (Scratch)
+    ArenaScope.emplace(Scratch, Results.get());
   uint64_t NodesBase = adt::AllocationCounters::nodes();
   uint64_t BytesBase = adt::AllocationCounters::bytes();
   Budget.arm(Opts.Budget);
   traceEvent(Opts.Trace, obs::EventKind::ParseBegin,
              StartSyms[0].nonterminalId(), 0, Input.size(), Pos);
   ParseResult Result = runLoop();
-  // Snapshot the allocation deltas before detaching: detachment is a
-  // lifetime operation, not parse work, and must not skew the stats.
   MachineStats.AllocNodes = adt::AllocationCounters::nodes() - NodesBase;
   MachineStats.AllocBytes = adt::AllocationCounters::bytes() - BytesBase;
-  // Accepted results must outlive the epoch. Default: deep-copy out
-  // (Tree::detach). With DetachResults off: zero-copy handoff — the
-  // result's handle co-owns the machine-private arena (the next run swaps
-  // in a fresh one). When the arena is caller-supplied the machine cannot
-  // transfer ownership; the owner re-wraps (Parser::parse) or the result
-  // stays borrowed until the owner's next reset (documented for manual
-  // Machine drivers).
-  if (Epoch && Result.accepted()) {
-    TreePtr Escaped;
-    if (Opts.DetachResults)
-      Escaped = Result.tree()->detach();
-    else if (!Opts.AllocArena)
-      Escaped = TreePtr(OwnedArena, Result.tree().get());
-    if (Escaped)
-      Result = Result.kind() == ParseResult::Kind::Unique
-                   ? ParseResult::unique(std::move(Escaped))
-                   : ParseResult::ambig(std::move(Escaped));
+  // An accepted tree escapes by co-owning the result arena it was built
+  // in; nothing is copied.
+  if (Results && Result.accepted()) {
+    TreePtr Owned = adt::Arena::handOff(Results, Result.tree().get());
+    Result = Result.kind() == ParseResult::Kind::Unique
+                 ? ParseResult::unique(std::move(Owned))
+                 : ParseResult::ambig(std::move(Owned));
   }
   if (Result.kind() == ParseResult::Kind::BudgetExceeded)
     traceEvent(Opts.Trace, obs::EventKind::BudgetExceeded,

@@ -68,11 +68,12 @@ struct ParseOptions {
 
   /// Which allocation substrate backs the parse's hot allocation sites
   /// (tree nodes, prediction sim-stacks, visited-set nodes, frame
-  /// forests). Arena (the default) draws them from a parse-scoped epoch
-  /// arena that is rewound wholesale at the start of the next run;
-  /// SharedPtrPaperFaithful makes every node an owning heap allocation,
-  /// standing in for the extracted OCaml implementation's GC (the ablation
-  /// baseline). Results are bit-identical across backends
+  /// forests). Arena (the default) bump-allocates them: sim stacks and
+  /// visited sets in a scratch arena that the next run rewinds, tree nodes
+  /// and forests in a result arena that the accepted result co-owns
+  /// (adt/Arena.h); SharedPtrPaperFaithful makes every node an owning heap
+  /// allocation, standing in for the extracted OCaml implementation's GC
+  /// (the ablation baseline). Results are bit-identical across backends
   /// (AllocEquivalenceTest); only throughput and bytes-per-token differ.
   adt::AllocBackend Alloc = adt::AllocBackend::Arena;
 
@@ -84,25 +85,14 @@ struct ParseOptions {
   /// (AnalysisEquivalenceTest); only construction and lookup cost differ.
   AnalysisBackend Analysis = AnalysisBackend::Bitset;
 
-  /// The arena to use when Alloc == Arena. When null the machine creates a
-  /// private one; Parser installs its own persistent arena here so epochs
-  /// reuse warmed slabs across parse() calls. Arenas are single-threaded:
-  /// never share one across concurrently running parses (BatchParser
-  /// overrides this field with a per-worker arena).
+  /// The scratch arena to use when Alloc == Arena. When null the machine
+  /// creates a private one; Parser installs its own persistent arena here
+  /// so runs reuse warmed slabs across parse() calls. The arena also keeps
+  /// the result arena of its last parse and reuses it once no result holds
+  /// it and it fits the next input (adt::Arena::nextResultArena). Arenas
+  /// are single-threaded: never share one across concurrently running
+  /// parses (BatchParser overrides this field with a per-worker arena).
   adt::Arena *AllocArena = nullptr;
-
-  /// How accepted results escape the arena epoch (no effect on the
-  /// SharedPtrPaperFaithful backend, whose results own their nodes by
-  /// construction). true (the default): the result is deep-copied out via
-  /// Tree::detach() — compact, but the copy costs roughly as much as the
-  /// parse on warm small-grammar inputs. false: zero-copy epoch handoff —
-  /// the returned TreePtr co-owns the parse's arena, the owner swaps in a
-  /// fresh arena for the next parse, and the whole epoch (including
-  /// transient sim-stack and frame allocations) stays resident until the
-  /// caller drops the result. Safe to hold across parses and threads
-  /// either way; call Tree::detach() explicitly on a handed-off result to
-  /// trim it to tree-only storage.
-  bool DetachResults = true;
 
   /// Per-parse resource budget (robust/Budget.h): machine-step cap,
   /// wall-clock deadline, allocation cap, cooperative cancellation.
@@ -159,7 +149,7 @@ public:
     uint64_t CacheStatesAdded = 0;
     /// Nodes (trees, sim-stack frames) allocated by this run, identical
     /// across allocation backends (counted at the creation helpers, so
-    /// epoch-detach copies are invisible).
+    /// the heap copies of configs a long-lived cache keeps are invisible).
     uint64_t AllocNodes = 0;
     /// Bytes allocated by this run on the parse's allocation substrate.
     /// Deterministic within a backend, but backend-*dependent*: the arena
@@ -192,6 +182,8 @@ public:
           NonterminalId Start, const Word &Input, const ParseOptions &Opts,
           SllCache *SharedCache = nullptr);
 
+  ~Machine();
+
   Machine(const Machine &) = delete;
   Machine &operator=(const Machine &) = delete;
 
@@ -208,7 +200,9 @@ public:
   }
 
   /// multistep: iterates step() to completion. Call it at most once per
-  /// machine: it opens the machine's one arena epoch.
+  /// machine: it opens the machine's one arena epoch. An accepted result's
+  /// tree handle co-owns the run's result arena, so it stays valid after
+  /// the machine, its scratch arena, and any later run are gone.
   ParseResult run();
 
   // Introspection (tests, invariant checkers, trace-based property tests).
@@ -226,14 +220,12 @@ public:
 private:
   const Grammar &G;
   const PredictionTables &Tables;
-  /// The machine-private epoch arena, created when Opts.Alloc == Arena and
-  /// no external arena was supplied. Declared before Stack: frames hold
-  /// arena-backed forest buffers, so the arena (and its registry entry,
-  /// which routes their deallocation) must outlive them. Shared ownership:
-  /// with DetachResults == false an accepted result co-owns the epoch, and
-  /// the next run() swaps in a fresh arena instead of resetting one that
-  /// escaped.
-  std::shared_ptr<adt::Arena> OwnedArena;
+  /// The machine-private scratch arena, created when Opts.Alloc == Arena
+  /// and no external arena was supplied.
+  std::unique_ptr<adt::Arena> OwnedArena;
+  /// This run's result arena (null until run() opens the epoch). Declared
+  /// before Stack: frames hold forest buffers in it.
+  std::shared_ptr<adt::Arena> Results;
   /// Storage for the bottom frame's symbol sequence (just the start
   /// symbol); must outlive the stack.
   std::vector<Symbol> StartSyms;
@@ -248,8 +240,6 @@ private:
   /// machine, so no rewind can happen while it is alive.
   SllCache OwnedCache;
   SllCache *Cache;
-  /// Set by the run() that opens this machine's arena epoch.
-  bool EpochOpened = false;
   ParseOptions Opts;
   Stats MachineStats;
   /// Enforces Opts.Budget; armed at the top of run().

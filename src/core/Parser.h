@@ -42,16 +42,15 @@ class Parser {
   GrammarAnalysis Analysis;
   PredictionTables Tables;
   SllCache SharedCache;
-  /// The parser's persistent epoch arena (when Opts.Alloc == Arena and the
-  /// caller did not supply one): every parse() rewinds and reuses its
-  /// slabs, so repeated parsing reaches a zero-malloc steady state.
-  /// Declared after Opts so the ctor can point Opts.AllocArena at it; the
-  /// arena must not be mutated from multiple threads (BatchParser gives
-  /// each worker its own parser-independent arena instead). Shared
-  /// ownership: with Opts.DetachResults == false an accepted result
-  /// co-owns its epoch, and the next parse() swaps in a fresh arena while
-  /// that result is still alive (and reuses the warmed one otherwise).
-  std::shared_ptr<adt::Arena> ParseArena;
+  /// The parser's persistent scratch arena (when Opts.Alloc == Arena and
+  /// the caller did not supply one): every parse() rewinds and reuses its
+  /// slabs, so repeated parsing reaches a zero-malloc steady state, and it
+  /// keeps the result arena of the last parse for reuse once no result
+  /// holds it (adt::Arena::nextResultArena). Declared after Opts so the
+  /// ctor can point Opts.AllocArena at it; the arena must not be mutated
+  /// from multiple threads (BatchParser gives each worker its own
+  /// parser-independent arena instead).
+  std::unique_ptr<adt::Arena> ParseArena;
 
 public:
   Parser(const Grammar &G, NonterminalId Start, ParseOptions Opts = {})
@@ -59,35 +58,20 @@ public:
         Tables(G, Analysis), SharedCache(Opts.Backend) {
     if (this->Opts.Alloc == adt::AllocBackend::Arena &&
         !this->Opts.AllocArena) {
-      ParseArena = std::make_shared<adt::Arena>();
+      ParseArena = std::make_unique<adt::Arena>();
       this->Opts.AllocArena = ParseArena.get();
     }
   }
 
-  /// Parses \p Input, optionally reporting machine statistics.
+  /// Parses \p Input, optionally reporting machine statistics. An accepted
+  /// result owns its tree: it stays valid across later parses and after
+  /// the parser is gone.
   ParseResult parse(const Word &Input, Machine::Stats *StatsOut = nullptr) {
-    if (ParseArena && ParseArena.use_count() > 1) {
-      // The previous epoch escaped into a result that is still alive:
-      // hand it over for good and start the next epoch in a fresh arena.
-      ParseArena = std::make_shared<adt::Arena>();
-      Opts.AllocArena = ParseArena.get();
-    }
     Machine M(G, Tables, Start, Input, Opts,
               Opts.ReuseCache ? &SharedCache : nullptr);
     ParseResult Result = M.run();
     if (StatsOut)
       *StatsOut = M.stats();
-    // Zero-copy escape (Opts.DetachResults == false): re-wrap the borrowed
-    // result so it co-owns this parse's epoch. The epoch — tree, forest
-    // buffers, and transient parse allocations alike — now lives exactly
-    // as long as the longest-held handle into it.
-    if (ParseArena && !Opts.DetachResults && Result.accepted() &&
-        ParseArena->owns(Result.tree().get())) {
-      TreePtr Owned(ParseArena, Result.tree().get());
-      Result = Result.kind() == ParseResult::Kind::Unique
-                   ? ParseResult::unique(std::move(Owned))
-                   : ParseResult::ambig(std::move(Owned));
-    }
     return Result;
   }
 
@@ -145,10 +129,9 @@ public:
     return true;
   }
 
-  /// The current epoch arena (null on the SharedPtrPaperFaithful backend
-  /// or when the caller supplied its own). Exposed for tests and
-  /// diagnostics: epoch handoff swaps in a fresh arena whenever a
-  /// previous parse's result is still alive.
+  /// The scratch arena (null on the SharedPtrPaperFaithful backend or
+  /// when the caller supplied its own). Exposed for tests and diagnostics;
+  /// its pairedResults() is the last parse's result arena.
   const adt::Arena *epochArena() const { return ParseArena.get(); }
 };
 

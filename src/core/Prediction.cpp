@@ -555,7 +555,7 @@ uint32_t SllCache::intern(std::vector<Subparser> Configs) {
     St.Configs.push_back(std::move(Configs[Index]));
   // A cache that outlives the parse epoch re-anchors the arena-allocated
   // sim stacks on the heap before the state is stored.
-  if (adt::Arena *A = EpochLocal ? nullptr : adt::activeArena())
+  if (adt::Arena *A = EpochLocal ? nullptr : adt::scratchArena())
     detachConfigs(*A, St.Configs);
   std::vector<ProductionId> Preds = distinctPredictions(St.Configs);
   if (Preds.empty())

@@ -100,16 +100,16 @@ struct SimStackNode {
         Hash(hashOnto(this->Tail ? this->Tail->Hash : 0x5DEECE66Dull, F)) {}
 };
 
-/// Creates a sim-stack node on the parse's allocation substrate: the active
-/// arena (as a non-owning handle) when one is installed, an owning
-/// make_shared otherwise. Prediction's closure forks dominate worst-case
+/// Creates a sim-stack node on the parse's allocation substrate: the
+/// installed scratch arena (as a non-owning handle) when there is one, an
+/// owning make_shared otherwise. Prediction's closure forks dominate worst-case
 /// allocation, so this is one of the three ported hot sites; the counters
 /// live here rather than in the constructor so epoch-escaping deep copies
 /// (SllCache's config detachment) stay invisible to budgets and stats and
 /// the node count is identical across allocation backends.
 inline SimStackPtr makeSimStack(SimFrame F, SimStackPtr Tail) {
   ++adt::AllocationCounters::nodes();
-  if (adt::Arena *A = adt::activeArena()) {
+  if (adt::Arena *A = adt::scratchArena()) {
     // The tail is either another arena node of this epoch (non-owning
     // arenaRef already) or a node of a cached DFA state, which lives at
     // least as long as the epoch: an epoch-local cache keeps this epoch's

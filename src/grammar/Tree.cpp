@@ -8,95 +8,80 @@
 
 #include "grammar/Grammar.h"
 
+#include <utility>
+
 using namespace costar;
 
-const Tree *
-Tree::detachImpl(const Tree &T,
-                 const std::shared_ptr<std::vector<Tree>> &Block) {
-  // Post-order: children are emplaced (and their block slots fixed) before
-  // the parent's forest references them. The block was reserved to the
-  // exact node count, so element addresses are stable. Child handles are
-  // non-owning (arenaRef): a handle stored *inside* the block that owned
-  // the block would form a shared_ptr cycle and leak the whole copy.
-  //
-  // Iterative with an explicit frame stack: the grammar DSL desugars
-  // lists into right-recursive spines as deep as the input, so native
-  // recursion here would cap the parseable input size at the stack limit.
-  struct Frame {
-    const Tree *Node;
-    size_t Next = 0; // children copied so far
-    Forest Kids;
-  };
-  std::vector<Frame> Stack;
-  Stack.push_back(Frame{&T});
-  const Tree *Result = nullptr;
-  while (!Stack.empty()) {
-    Frame &F = Stack.back();
-    const Tree *Node = F.Node;
-    if (!Node->isLeaf() && F.Next < Node->Children.size()) {
-      if (F.Next == 0)
-        F.Kids.reserve(Node->Children.size());
-      const Tree *Child = Node->Children[F.Next++].get();
-      Stack.push_back(Frame{Child}); // invalidates F; loop re-borrows
+void Tree::appendYield(Word &Out) const {
+  // Children are pushed right to left so leaves pop left to right.
+  std::vector<const Tree *> Pending{this};
+  while (!Pending.empty()) {
+    const Tree *T = Pending.back();
+    Pending.pop_back();
+    if (T->isLeaf()) {
+      Out.push_back(T->Tok);
       continue;
     }
-    Block->push_back(Node->isLeaf() ? Tree(Node->Tok)
-                                    : Tree(Node->Nt, std::move(F.Kids)));
-    Result = &Block->back();
-    Stack.pop_back();
-    if (!Stack.empty())
-      Stack.back().Kids.push_back(adt::arenaRef(Result));
+    for (auto It = T->Children.rbegin(); It != T->Children.rend(); ++It)
+      Pending.push_back(It->get());
   }
-  return Result;
-}
-
-TreePtr Tree::detach() const {
-  // Suppress any active arena so the copy's nodes and forest buffers are
-  // heap-owned and the result survives the epoch. The copy's nodes all
-  // live in one exact-sized heap block behind one control block, with the
-  // child handles aliased into it: escaping a tree costs one allocation
-  // plus one refcount bump per node instead of one allocation *and*
-  // control block per node.
-  adt::ScopedArena Suppress(nullptr);
-  auto Block = std::make_shared<std::vector<Tree>>();
-  Block->reserve(nodeCount());
-  return TreePtr(Block, detachImpl(*this, Block));
-}
-
-void Tree::appendYield(Word &Out) const {
-  if (isLeaf()) {
-    Out.push_back(Tok);
-    return;
-  }
-  for (const TreePtr &Child : Children)
-    Child->appendYield(Out);
 }
 
 bool Tree::equals(const Tree &A, const Tree &B) {
-  if (A.TreeKind != B.TreeKind)
-    return false;
-  if (A.isLeaf())
-    return A.Tok == B.Tok;
-  if (A.Nt != B.Nt || A.Children.size() != B.Children.size())
-    return false;
-  for (size_t I = 0; I < A.Children.size(); ++I)
-    if (!treeEquals(A.Children[I], B.Children[I]))
+  std::vector<std::pair<const Tree *, const Tree *>> Pending{{&A, &B}};
+  while (!Pending.empty()) {
+    auto [X, Y] = Pending.back();
+    Pending.pop_back();
+    if (X == Y)
+      continue; // a shared subtree
+    if (!X || !Y || X->TreeKind != Y->TreeKind || X->Subtree != Y->Subtree)
       return false;
+    if (X->isLeaf()) {
+      if (X->Tok != Y->Tok)
+        return false;
+      continue;
+    }
+    if (X->Nt != Y->Nt || X->Children.size() != Y->Children.size())
+      return false;
+    for (size_t I = X->Children.size(); I-- > 0;)
+      Pending.emplace_back(X->Children[I].get(), Y->Children[I].get());
+  }
   return true;
 }
 
 std::string Tree::toString(const Grammar &G) const {
-  if (isLeaf()) {
-    const std::string &Name = G.terminalName(Tok.Term);
-    if (!Tok.Lexeme.empty() && Tok.Lexeme != Name)
-      return Name + "(" + Tok.Lexeme + ")";
-    return Name;
-  }
-  std::string Out = "(" + G.nonterminalName(Nt);
-  for (const TreePtr &Child : Children) {
+  struct Frame {
+    const Tree *Node;
+    size_t Next = 0; // children printed so far
+  };
+  std::string Out;
+  std::vector<Frame> Stack{Frame{this}};
+  while (!Stack.empty()) {
+    Frame &F = Stack.back();
+    const Tree *T = F.Node;
+    if (T->isLeaf()) {
+      const std::string &Name = G.terminalName(T->Tok.Term);
+      Out += Name;
+      if (!T->Tok.Lexeme.empty() && T->Tok.Lexeme != Name) {
+        Out += '(';
+        Out += T->Tok.Lexeme;
+        Out += ')';
+      }
+      Stack.pop_back();
+      continue;
+    }
+    if (F.Next == 0) {
+      Out += '(';
+      Out += G.nonterminalName(T->Nt);
+    }
+    if (F.Next == T->Children.size()) {
+      Out += ')';
+      Stack.pop_back();
+      continue;
+    }
     Out += ' ';
-    Out += Child->toString(G);
+    const Tree *Child = T->Children[F.Next++].get();
+    Stack.push_back(Frame{Child}); // invalidates F; the loop re-borrows
   }
-  Out += ')';
   return Out;
 }

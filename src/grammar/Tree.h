@@ -11,10 +11,13 @@
 /// without copying, which stands in for the garbage-collected sharing the
 /// extracted OCaml implementation enjoys. The handle type hides two
 /// substrates (adt/ArenaPtr.h): under AllocBackend::Arena (the default)
-/// nodes live in the parse epoch's arena behind *non-owning* aliased
-/// handles — two-word copies, no refcount traffic — and results escape the
-/// epoch via Tree::detach(); under SharedPtrPaperFaithful every node is an
-/// owning heap allocation, the GC-faithful ablation baseline.
+/// nodes live in the parse's result arena behind *non-owning* aliased
+/// handles — two-word copies, no refcount traffic — and an accepted
+/// result's root handle co-owns that arena (adt::Arena::handOff); under
+/// SharedPtrPaperFaithful every node is an owning heap allocation, the
+/// GC-faithful ablation baseline. Either way the root handle keeps the
+/// whole tree alive, and child handles reached through children() borrow
+/// from it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,10 +40,9 @@ class Tree;
 
 /// Shared immutable parse tree handle.
 using TreePtr = std::shared_ptr<const Tree>;
-/// A forest: the children of a Node, in left-to-right order. The buffer is
-/// epoch-allocated: it comes from the active arena during a parse and from
-/// the heap otherwise (adt::EpochAllocator routes deallocation by
-/// ownership, so either way the container is safe to destroy at any time).
+/// A forest: the children of a Node, in left-to-right order. The buffer
+/// comes from the installed result arena during a parse and from the heap
+/// otherwise (adt::EpochAllocator).
 using Forest = std::vector<TreePtr, adt::EpochAllocator<TreePtr>>;
 
 /// An immutable parse tree node: a Leaf holding one token, or a Node holding
@@ -54,9 +56,8 @@ private:
   Token Tok;            // valid when TreeKind == Leaf
   NonterminalId Nt = 0; // valid when TreeKind == Node
   /// Total nodes in this subtree (this node included), computed bottom-up
-  /// at construction so nodeCount() — and Tree::detach()'s exact block
-  /// reservation — is O(1). Fits in an alignment hole; trees large enough
-  /// to overflow 32 bits would not fit in memory.
+  /// at construction so nodeCount() is O(1). Fits in an alignment hole;
+  /// trees large enough to overflow 32 bits would not fit in memory.
   uint32_t Subtree = 1;
   Forest Children; // valid when TreeKind == Node
 
@@ -69,26 +70,16 @@ private:
 
   friend class adt::Arena; // placement-constructs nodes in the arena path
 
-  /// Deep copy with no counting and no fault injection: detaching is a
-  /// lifetime operation, not parse work, so budgets and stats see the same
-  /// numbers on both allocation backends. Copies post-order into \p Block
-  /// (pre-reserved to the exact node count) and returns the raw address of
-  /// the copy's root within it. Interior child handles are *non-owning*
-  /// aliases into the block — owning ones would make the block own itself
-  /// (a shared_ptr cycle, i.e. a leak); only the root handle detach()
-  /// wraps around the returned pointer owns the block.
-  static const Tree *
-  detachImpl(const Tree &T, const std::shared_ptr<std::vector<Tree>> &Block);
-
 public:
   // Both creation paths feed the thread-local allocation counters (the
   // robust::ParseBudget caps read their deltas) and are an abort-class
-  // fault-injection site. With an active arena the node is bump-allocated
-  // behind a non-owning handle; otherwise it is an owning heap allocation.
+  // fault-injection site. With an installed result arena the node is
+  // bump-allocated behind a non-owning handle; otherwise it is an owning
+  // heap allocation.
   static TreePtr leaf(Token Tok) {
     ++adt::AllocationCounters::nodes();
     robust::injectPoint(robust::FaultSite::TreeAlloc);
-    if (adt::Arena *A = adt::activeArena())
+    if (adt::Arena *A = adt::resultArena())
       return adt::arenaRef(A->create<Tree>(std::move(Tok)));
     adt::AllocationCounters::bytes() +=
         sizeof(Tree) + adt::SharedCtrlBlockBytes;
@@ -102,25 +93,12 @@ public:
     // arena-owned (EpochAllocator reclaims it with the epoch), so the
     // destructor would be a no-op. Leaves keep theirs — a Token's lexeme
     // may own heap storage.
-    if (adt::Arena *A = adt::activeArena())
+    if (adt::Arena *A = adt::resultArena())
       return adt::arenaRef(A->createUnmanaged<Tree>(Nt, std::move(Children)));
     adt::AllocationCounters::bytes() +=
         sizeof(Tree) + adt::SharedCtrlBlockBytes;
     return TreePtr(new Tree(Nt, std::move(Children)));
   }
-
-  /// \returns an owning deep copy of this tree whose nodes and forest
-  /// buffers are heap-allocated, independent of any arena epoch. Results
-  /// returned by Machine::run() are detached automatically when an arena
-  /// is active; call this explicitly for any other tree that must outlive
-  /// the parse that built it. Always copies (also under the shared_ptr
-  /// backend, where it is merely unnecessary).
-  ///
-  /// Lifetime: the returned root handle owns the whole copy; child handles
-  /// reached through children() borrow from it (the same convention as
-  /// arena-backed trees and epoch-handoff results). Keep the root alive
-  /// while any interior handle is in use.
-  TreePtr detach() const;
 
   Kind kind() const { return TreeKind; }
   bool isLeaf() const { return TreeKind == Kind::Leaf; }
@@ -142,6 +120,11 @@ public:
   Symbol rootSymbol() const {
     return isLeaf() ? Symbol::terminal(Tok.Term) : Symbol::nonterminal(Nt);
   }
+
+  // The walkers below loop over an explicit stack instead of recursing:
+  // the grammar DSL desugars lists into right-recursive spines as deep as
+  // the input, so native recursion would cap the tree depth they accept
+  // at the thread's stack size.
 
   /// Appends this tree's leaf tokens, left to right, to \p Out.
   void appendYield(Word &Out) const;

@@ -32,13 +32,11 @@ RobustOutcome costar::robust::parseRobust(const Grammar &G,
                                           SllCache *SharedCache,
                                           Machine::Stats *StatsOut) {
   // The first machine is destroyed before the retry runs: both may share
-  // one epoch arena (Opts.AllocArena), and the retry's run() rewinds it —
-  // the failed attempt's frames must not outlive that rewind. Its *result*
-  // safely does: accepted trees escape the epoch in run() (detached copy,
-  // or a handle co-owning a machine-private arena under
-  // DetachResults == false), and retryable results carry no trees at all.
-  // A caller who combines DetachResults == false with a caller-supplied
-  // arena owns the borrowed result's lifetime, here as everywhere.
+  // one scratch arena (Opts.AllocArena), and the retry's run() rewinds it
+  // and may reuse the paired result arena — the failed attempt's frames
+  // must not outlive that rewind. Its *result* safely does: an accepted
+  // tree co-owns its result arena, and retryable results carry no trees
+  // at all.
   uint64_t FirstSteps = 0;
   std::optional<ParseResult> FirstResult;
   {

@@ -453,13 +453,14 @@ void ParseService::processRequest(WorkerState &WS, QueuedRequest &&QR) {
   if (Trace)
     Trace->Word = static_cast<uint32_t>(QR.Req.Id);
 
-  // The worker owns the sinks and the arena; any caller-supplied ones in
-  // the base options are overridden (they are not thread-safe here).
+  // The worker owns the sinks and the scratch arena; any caller-supplied
+  // ones in the base options are overridden (they are not thread-safe
+  // here). An accepted response's tree co-owns its own result arena, so
+  // the caller may hold it on any thread.
   ParseOptions Parse = Opts.Parse;
   Parse.Trace = Trace;
   Parse.Metrics = Reg;
   Parse.Faults = nullptr; // the life-scoped injector governs
-  Parse.DetachResults = true;
   if (Parse.Alloc == adt::AllocBackend::Arena)
     Parse.AllocArena = &*WS.Arena;
 

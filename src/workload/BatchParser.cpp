@@ -183,13 +183,10 @@ BatchResult runFlatPool(const Grammar &G, const PredictionTables &Tables,
     Parse.Metrics = Opts.CollectMetrics ? &Registries[ThreadIdx] : nullptr;
     Parse.Faults = nullptr; // the worker-scope injector governs
     // Arenas are single-threaded; like the sinks above, any caller-supplied
-    // arena is overridden with a worker-lifetime one whose slabs warm up
-    // across the words this thread parses. Results are always detached:
-    // the batch retains every result until parseAll returns, and epoch
-    // handoff (DetachResults == false) would pin one full arena per word —
-    // unbounded memory for exactly the workloads BatchParser exists for —
-    // while a *borrowed* result would dangle at the next word's rewind.
-    Parse.DetachResults = true;
+    // arena is overridden with a worker-lifetime scratch arena whose slabs
+    // warm up across the words this thread parses. The batch retains every
+    // result until parseAll returns; each holds only its own result arena,
+    // never the scratch.
     std::optional<adt::Arena> WorkerArena;
     if (Parse.Alloc == adt::AllocBackend::Arena) {
       WorkerArena.emplace();

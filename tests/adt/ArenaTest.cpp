@@ -7,9 +7,10 @@
 /// \file
 /// Unit tests for the epoch arena (adt/Arena.h) and its shared-handle glue
 /// (adt/ArenaPtr.h): slab growth (including the zero-capacity edge),
-/// finalizer ordering, epoch rewind with slab retention, ownership routing
-/// through the thread arena registry, and the ScopedArena install /
-/// suppress protocol.
+/// finalizer ordering, epoch rewind with slab retention, the pairing of a
+/// scratch arena with its result arena (reuse unless a handed-off result
+/// holds it), buffer routing by the installed result arena, and the
+/// ScopedArena install / restore protocol.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,60 +121,99 @@ TEST(Arena, ResetRetainsSlabsAndReusesThem) {
   EXPECT_EQ(A.capacity(), CapacityAfterFirstEpoch);
 }
 
-TEST(Arena, OwnedByThreadArenaRoutesAcrossArenas) {
-  int Heap = 0;
-  EXPECT_FALSE(Arena::ownedByLiveArena(&Heap));
-  Arena A;
-  Arena B;
-  void *PA = A.allocRaw(8, 8);
-  void *PB = B.allocRaw(8, 8);
-  EXPECT_TRUE(Arena::ownedByLiveArena(PA));
-  EXPECT_TRUE(Arena::ownedByLiveArena(PB));
-  EXPECT_FALSE(Arena::ownedByLiveArena(&Heap));
-  // Ownership persists across epoch resets (slabs are retained)...
-  A.reset();
-  EXPECT_TRUE(Arena::ownedByLiveArena(PA));
+TEST(Arena, NextResultArenaIsReusedUnlessAResultHoldsIt) {
+  Arena Scratch;
+  EXPECT_EQ(Scratch.pairedResults(), nullptr);
+  std::shared_ptr<Arena> First = Scratch.nextResultArena(256);
+  EXPECT_EQ(Scratch.pairedResults(), First.get());
+  std::shared_ptr<const int> Held =
+      Arena::handOff(First, First->create<int>(7));
+  const Arena *FirstRaw = First.get();
+  First.reset();
+  // A live handle pins its arena: the next epoch gets a fresh one, and
+  // the held object is untouched.
+  std::shared_ptr<Arena> Second = Scratch.nextResultArena(256);
+  EXPECT_NE(Second.get(), FirstRaw);
+  EXPECT_EQ(*Held, 7);
+  Held.reset(); // the first arena dies with its last handle
+  // Two handoffs from one epoch hold it until both are dropped.
+  std::shared_ptr<const int> H1 =
+      Arena::handOff(Second, Second->create<int>(8));
+  std::shared_ptr<const int> H2 =
+      Arena::handOff(Second, Second->create<int>(9));
+  const Arena *SecondRaw = Second.get();
+  Second.reset();
+  H1.reset();
+  std::shared_ptr<Arena> Third = Scratch.nextResultArena(256);
+  EXPECT_NE(Third.get(), SecondRaw);
+  EXPECT_EQ(*H2, 9);
+  // Once nothing holds the paired arena, the next epoch rewinds it and
+  // reuses it.
+  uint64_t Epoch = Third->epoch();
+  const Arena *ThirdRaw = Third.get();
+  Third->allocRaw(2000, 8);
+  Third.reset();
+  std::shared_ptr<Arena> Grown = Scratch.nextResultArena(1024);
+  EXPECT_EQ(Grown.get(), ThirdRaw);
+  EXPECT_EQ(Grown->epoch(), Epoch + 1);
+  // Unless it grew far beyond what the next epoch asks for: then a fresh
+  // arena replaces it, so a small result cannot pin large slabs.
+  EXPECT_GT(Grown->capacity(), Arena::ReuseFactor * 256);
+  std::shared_ptr<Arena> Small = Scratch.nextResultArena(256);
+  EXPECT_NE(Small.get(), Grown.get());
+  EXPECT_EQ(Small->capacity(), 0u);
 }
 
-TEST(ScopedArena, InstallAndSuppress) {
-  EXPECT_EQ(activeArena(), nullptr);
-  Arena A;
+TEST(ScopedArena, InstallsScratchAndResultArenas) {
+  EXPECT_EQ(scratchArena(), nullptr);
+  EXPECT_EQ(resultArena(), nullptr);
+  Arena S, R;
   {
-    ScopedArena Install(&A);
-    EXPECT_EQ(activeArena(), &A);
+    ScopedArena Install(&S, &R);
+    EXPECT_EQ(scratchArena(), &S);
+    EXPECT_EQ(resultArena(), &R);
     {
-      // nullptr suppresses the outer arena (the Tree::detach protocol).
-      ScopedArena Suppress(nullptr);
-      EXPECT_EQ(activeArena(), nullptr);
+      // Nested installs restore the outer pair on exit.
+      ScopedArena Inner(&R, &S);
+      EXPECT_EQ(scratchArena(), &R);
+      EXPECT_EQ(resultArena(), &S);
     }
-    EXPECT_EQ(activeArena(), &A);
+    EXPECT_EQ(scratchArena(), &S);
+    EXPECT_EQ(resultArena(), &R);
   }
-  EXPECT_EQ(activeArena(), nullptr);
+  EXPECT_EQ(scratchArena(), nullptr);
+  EXPECT_EQ(resultArena(), nullptr);
 }
 
 TEST(EpochAllocator, RoutesBuffersByOwnership) {
-  // A vector grown inside an epoch holds an arena buffer; deallocating it
-  // after the scope was popped must not touch the heap. The arena is
-  // declared first because it must outlive the containers it backs — the
-  // same member-order contract Machine honors (OwnedArena before Stack).
+  // A vector grown under an installed result arena holds arena buffers:
+  // releasing them while that arena is installed must not touch the heap
+  // (the epoch reclaims them). The arena is declared first because it
+  // must outlive the containers it backs.
   Arena A;
-  std::vector<int, EpochAllocator<int>> Escaped;
   {
-    ScopedArena Install(&A);
+    ScopedArena Install(nullptr, &A);
+    std::vector<int, EpochAllocator<int>> Grown;
     for (int I = 0; I < 100; ++I)
-      Escaped.push_back(I);
-    EXPECT_TRUE(A.owns(Escaped.data()));
+      Grown.push_back(I); // each regrowth frees an arena buffer
+    EXPECT_TRUE(A.owns(Grown.data()));
+    std::vector<int, EpochAllocator<int>>().swap(Grown);
+    EXPECT_EQ(Grown.capacity(), 0u);
+    // A heap buffer released under the installed arena still goes back to
+    // the heap (LeakSanitizer would report it otherwise).
+    std::vector<int, EpochAllocator<int>> *FromHeap;
+    {
+      ScopedArena Heap(nullptr, nullptr);
+      FromHeap = new std::vector<int, EpochAllocator<int>>(100, 1);
+    }
+    EXPECT_FALSE(A.owns(FromHeap->data()));
+    delete FromHeap;
   }
-  // No active arena now; forced deallocation of the arena-owned buffer is a
-  // no-op (the epoch reclaims it) and must not be handed to operator
-  // delete.
-  std::vector<int, EpochAllocator<int>>().swap(Escaped);
-  EXPECT_EQ(Escaped.capacity(), 0u);
-  // Heap-allocated buffers (no active arena) still round-trip normally.
+  // With nothing installed, buffers come from and return to the heap.
   std::vector<int, EpochAllocator<int>> HeapVec;
   for (int I = 0; I < 100; ++I)
     HeapVec.push_back(I);
-  EXPECT_FALSE(Arena::ownedByLiveArena(HeapVec.data()));
+  EXPECT_FALSE(A.owns(HeapVec.data()));
 }
 
 TEST(EpochAllocator, CountsBytesOnBothSubstrates) {
@@ -183,7 +223,7 @@ TEST(EpochAllocator, CountsBytesOnBothSubstrates) {
   EXPECT_GE(AllocationCounters::bytes() - Before, 8 * sizeof(int));
   Arena A;
   {
-    ScopedArena Install(&A);
+    ScopedArena Install(nullptr, &A);
     uint64_t Mid = AllocationCounters::bytes();
     std::vector<int, EpochAllocator<int>> ArenaVec;
     ArenaVec.reserve(8);
@@ -209,11 +249,10 @@ TEST(EpochNodePolicy, RoutesNodesByInstallState) {
     explicit Node(int V) : V(V) {}
   };
   std::shared_ptr<const Node> HeapNode = EpochNodePolicy::make<Node>(1);
-  EXPECT_FALSE(Arena::ownedByLiveArena(HeapNode.get()));
   EXPECT_EQ(HeapNode.use_count(), 1);
   Arena A;
   {
-    ScopedArena Install(&A);
+    ScopedArena Install(&A, nullptr);
     std::shared_ptr<const Node> ArenaNode = EpochNodePolicy::make<Node>(2);
     EXPECT_TRUE(A.owns(ArenaNode.get()));
     EXPECT_EQ(ArenaNode.use_count(), 0);

@@ -15,25 +15,26 @@
 ///
 ///  - Stats are identical modulo the alloc counters: machine operations,
 ///    prediction and cache activity, and AllocNodes (counted at creation
-///    helpers, so epoch-detach copies are invisible) all match; AllocBytes
-///    is deliberately excluded (backend-dependent accounting).
+///    helpers, so a long-lived cache's heap copies are invisible) all
+///    match; AllocBytes is deliberately excluded (backend-dependent
+///    accounting).
 ///
 ///  - Trace event sequences are identical across alloc backends.
 ///
-///  - Epoch lifetime edges: results outlive the epoch that built them
-///    (auto-detach), consecutive parses on one Parser rewind and reuse the
-///    same arena, explicit Tree::detach() escapes a live epoch, and the
-///    ParseBudget byte cap trips inside the arena path.
-///
-///  - Epoch handoff (ParseOptions::DetachResults == false): results
-///    co-own their epoch's arena zero-copy, stay valid across later
-///    parses, parser destruction, and cross-thread destruction, and the
-///    parser reuses its warmed arena whenever no result pins it.
+///  - Result lifetime: an accepted result co-owns the result arena its
+///    tree was built in. It stays valid across later parses and parser
+///    destruction, pins only tree memory (the scratch arena is reused by
+///    the next parse), and the parser reuses its warmed result arena
+///    whenever no result holds it. Cross-thread destruction is covered in
+///    ResultLifetimeTest.cpp, which runs under TSan. The ParseBudget byte
+///    cap trips inside the arena path.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Parser.h"
+#include "lang/Language.h"
 #include "obs/Trace.h"
+#include "workload/Generators.h"
 
 #include "../RandomGrammar.h"
 #include "../TestGrammars.h"
@@ -42,7 +43,6 @@
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <thread>
 
 using namespace costar;
 using namespace costar::test;
@@ -189,9 +189,9 @@ TEST(AllocBackends, TraceEventSequencesIdentical) {
 }
 
 TEST(AllocLifetime, ResultsOutliveTheEpoch) {
-  // run() auto-detaches accepted results, so a tree returned by one parse
-  // stays valid (and structurally unchanged) across any number of later
-  // parses that rewind the same parser's arena.
+  // An accepted result owns its tree, so it stays valid (and structurally
+  // unchanged) across any number of later parses that rewind the same
+  // parser's scratch arena.
   Grammar G = figure2Grammar();
   NonterminalId S = G.lookupNonterminal("S");
   Parser P(G, S, withBackends(adt::AllocBackend::Arena, CacheBackend::Hashed));
@@ -199,7 +199,9 @@ TEST(AllocLifetime, ResultsOutliveTheEpoch) {
   Word W2 = makeWord(G, "b d");
   ParseResult R1 = P.parse(W1);
   ASSERT_EQ(R1.kind(), ParseResult::Kind::Unique);
-  ASSERT_FALSE(adt::Arena::ownedByLiveArena(R1.tree().get()));
+  // The tree lives in the result arena, never in the scratch arena.
+  EXPECT_TRUE(P.epochArena()->pairedResults()->owns(R1.tree().get()));
+  EXPECT_FALSE(P.epochArena()->owns(R1.tree().get()));
   std::string Before = R1.tree()->toString(G);
   // Rewind the epoch several times over.
   for (int I = 0; I < 5; ++I) {
@@ -233,42 +235,15 @@ TEST(AllocLifetime, EpochResetBetweenConsecutiveParsesReusesSlabs) {
   EXPECT_EQ(A.epoch(), Epoch + 10);
 }
 
-TEST(AllocLifetime, ExplicitDetachEscapesALiveEpoch) {
-  // Tree::detach() inside an active epoch yields a fully heap-owned deep
-  // copy: every node and forest buffer is outside the arena.
-  Grammar G = figure2Grammar();
-  adt::Arena A;
-  TreePtr Detached;
-  {
-    adt::ScopedArena Install(&A);
-    Forest Kids;
-    Kids.push_back(Tree::leaf(Token{G.lookupTerminal("a"), "a"}));
-    Kids.push_back(Tree::leaf(Token{G.lookupTerminal("b"), "b"}));
-    TreePtr Epochal = Tree::node(G.lookupNonterminal("A"), std::move(Kids));
-    ASSERT_TRUE(A.owns(Epochal.get()));
-    Detached = Epochal->detach();
-    EXPECT_TRUE(treeEquals(Epochal, Detached));
-  }
-  A.reset();
-  EXPECT_FALSE(adt::Arena::ownedByLiveArena(Detached.get()));
-  ASSERT_FALSE(Detached->isLeaf());
-  EXPECT_FALSE(
-      adt::Arena::ownedByLiveArena(Detached->children().data()));
-  for (const TreePtr &Child : Detached->children())
-    EXPECT_FALSE(adt::Arena::ownedByLiveArena(Child.get()));
-  EXPECT_EQ(Detached->nodeCount(), 3u);
-}
-
 TEST(AllocLifetime, EpochHandoffResultCoOwnsItsEpoch) {
-  // DetachResults == false: the accepted result's handle co-owns the
-  // parse's arena. Holding it forces the parser onto a fresh arena for
-  // the next parse; the held tree stays bit-stable across later parses
-  // and even across the parser's destruction.
+  // The accepted result's handle co-owns the arena its tree was built in.
+  // Holding it moves the parser's next tree to a fresh result arena; the
+  // held tree stays bit-stable across later parses and even across the
+  // parser's destruction.
   Grammar G = figure2Grammar();
   NonterminalId S = G.lookupNonterminal("S");
   ParseOptions Opts =
       withBackends(adt::AllocBackend::Arena, CacheBackend::Hashed);
-  Opts.DetachResults = false;
   Word W1 = makeWord(G, "a a b c");
   Word W2 = makeWord(G, "b d");
   std::optional<ParseResult> R1;
@@ -277,78 +252,111 @@ TEST(AllocLifetime, EpochHandoffResultCoOwnsItsEpoch) {
     Parser P(G, S, Opts);
     R1 = P.parse(W1);
     ASSERT_EQ(R1->kind(), ParseResult::Kind::Unique);
-    // Zero-copy: the tree still lives inside a live arena.
-    EXPECT_TRUE(adt::Arena::ownedByLiveArena(R1->tree().get()));
     Before = R1->tree()->toString(G);
-    const adt::Arena *Pinned = P.epochArena();
+    const adt::Arena *Scratch = P.epochArena();
+    const adt::Arena *Pinned = Scratch->pairedResults();
     ASSERT_TRUE(Pinned->owns(R1->tree().get()));
     for (int I = 0; I < 5; ++I) {
       ParseResult R2 = P.parse(I % 2 ? W2 : W1);
       ASSERT_EQ(R2.kind(), ParseResult::Kind::Unique);
       EXPECT_EQ(R1->tree()->toString(G), Before);
     }
-    // The pinned epoch was handed over, never rewound: the parser moved
-    // to a fresh arena (the old one stays alive under R1, so the new
-    // pointer cannot be a coincidental reallocation at the same address).
-    EXPECT_NE(P.epochArena(), Pinned);
+    // The pinned arena was handed over, never rewound: the parser moved
+    // to a fresh result arena (the old one stays alive under R1, so the
+    // new pointer cannot be a coincidental reallocation at the same
+    // address), and kept its one scratch arena throughout.
+    EXPECT_NE(Scratch->pairedResults(), Pinned);
+    EXPECT_EQ(P.epochArena(), Scratch);
   }
-  // Parser destroyed; R1 keeps its whole epoch alive.
+  // Parser destroyed; R1 keeps its result arena alive.
   EXPECT_EQ(R1->tree()->toString(G), Before);
   EXPECT_EQ(R1->tree()->yield().size(), W1.size());
-  // Explicit detach trims the handed-off result to tree-only storage.
-  TreePtr Trimmed = R1->tree()->detach();
-  R1.reset();
-  EXPECT_FALSE(adt::Arena::ownedByLiveArena(Trimmed.get()));
-  EXPECT_EQ(Trimmed->toString(G), Before);
 }
 
 TEST(AllocLifetime, EpochHandoffReusesArenaWhenResultsAreDropped) {
-  // Handoff only costs a fresh arena while a result is actually held:
-  // callers that drop each result before the next parse keep the
-  // zero-malloc steady state.
+  // A held result only costs a fresh result arena while it is actually
+  // held: callers that drop each result before the next parse keep the
+  // zero-malloc steady state in both arenas.
   Grammar G = figure2Grammar();
   NonterminalId S = G.lookupNonterminal("S");
   ParseOptions Opts =
       withBackends(adt::AllocBackend::Arena, CacheBackend::Hashed);
-  Opts.DetachResults = false;
   Parser P(G, S, Opts);
   Word W = makeWord(G, "a a a a b c");
   ASSERT_EQ(P.parse(W).kind(), ParseResult::Kind::Unique);
-  const adt::Arena *A = P.epochArena();
-  size_t Capacity = A->capacity();
-  ASSERT_GT(Capacity, 0u);
+  const adt::Arena *Scratch = P.epochArena();
+  const adt::Arena *Results = Scratch->pairedResults();
+  size_t ScratchCapacity = Scratch->capacity();
+  size_t ResultCapacity = Results->capacity();
+  uint64_t ResultEpoch = Results->epoch();
+  ASSERT_GT(ScratchCapacity, 0u);
+  ASSERT_GT(ResultCapacity, 0u);
   for (int I = 0; I < 10; ++I)
     ASSERT_EQ(P.parse(W).kind(), ParseResult::Kind::Unique);
-  EXPECT_EQ(P.epochArena(), A);
-  EXPECT_EQ(A->capacity(), Capacity);
+  EXPECT_EQ(P.epochArena(), Scratch);
+  EXPECT_EQ(Scratch->pairedResults(), Results);
+  EXPECT_EQ(Scratch->capacity(), ScratchCapacity);
+  EXPECT_EQ(Results->capacity(), ResultCapacity);
+  EXPECT_EQ(Results->epoch(), ResultEpoch + 10);
 }
 
-TEST(AllocLifetime, EpochHandoffSurvivesCrossThreadDestruction) {
-  // A handed-off result may be dropped on a different thread than the one
-  // that filled its arena; the global live-arena registry keeps buffer
-  // deallocation routing correct. ASan/TSan runs of this test gate the
-  // claim.
-  Grammar G = figure2Grammar();
-  NonterminalId S = G.lookupNonterminal("S");
-  ParseOptions Opts =
-      withBackends(adt::AllocBackend::Arena, CacheBackend::Hashed);
-  Opts.DetachResults = false;
-  Word W = makeWord(G, "a a b c");
-  std::optional<ParseResult> Escaped;
-  std::thread Producer([&] {
-    Parser P(G, S, Opts);
-    Escaped = P.parse(W);
-  });
-  Producer.join();
-  ASSERT_EQ(Escaped->kind(), ParseResult::Kind::Unique);
-  EXPECT_TRUE(adt::Arena::ownedByLiveArena(Escaped->tree().get()));
-  EXPECT_EQ(Escaped->tree()->yield().size(), W.size());
-  Escaped.reset(); // destroy the epoch on this thread
+TEST(AllocLifetime, HeldColdResultPinsOnlyItsTree) {
+  // A cold parse allocates far more prediction scratch than tree. Holding
+  // its result across the next parse must pin only the tree: the next
+  // parse reuses the same scratch arena without growing it, and the held
+  // result's arena stays within a small factor of the tree's own bytes.
+  lang::Language L = lang::makeLanguage(lang::LangId::Python);
+  std::mt19937_64 Rng(5);
+  lexer::LexResult Lex =
+      L.lex(workload::generateSource(lang::LangId::Python, Rng, 1500));
+  ASSERT_TRUE(Lex.ok());
+  Parser P(L.G, L.Start);
+  ParseResult Held = P.parse(Lex.Tokens);
+  ASSERT_EQ(Held.kind(), ParseResult::Kind::Unique);
+  const adt::Arena *Scratch = P.epochArena();
+  const adt::Arena *HeldArena = Scratch->pairedResults();
+  ASSERT_TRUE(HeldArena->owns(Held.tree().get()));
+  size_t ScratchCapacity = Scratch->capacity();
+
+  ParseResult Next = P.parse(Lex.Tokens);
+  ASSERT_EQ(Next.kind(), ParseResult::Kind::Unique);
+  EXPECT_EQ(P.epochArena(), Scratch);
+  EXPECT_EQ(Scratch->capacity(), ScratchCapacity);
+  EXPECT_NE(Scratch->pairedResults(), HeldArena);
+  EXPECT_TRUE(Tree::equals(*Held.tree(), *Next.tree()));
+
+  // Every node but the root also takes one slot in its parent's forest.
+  size_t TreeBytes =
+      Held.tree()->nodeCount() * (sizeof(Tree) + sizeof(TreePtr));
+  EXPECT_LE(HeldArena->capacity(), 3 * TreeBytes);
+  EXPECT_GT(ScratchCapacity, 3 * TreeBytes);
+}
+
+TEST(AllocLifetime, SmallResultAfterLargeOnesPinsOnlyItsTree) {
+  // A large parse grows the parser's result arena. Once its result is
+  // dropped, a small parse must not build (and pin) its tree in those
+  // large slabs.
+  lang::Language L = lang::makeLanguage(lang::LangId::Python);
+  std::mt19937_64 Rng(3);
+  Word Large =
+      L.lex(workload::generateSource(lang::LangId::Python, Rng, 3000)).Tokens;
+  Word Small =
+      L.lex(workload::generateSource(lang::LangId::Python, Rng, 60)).Tokens;
+  Parser P(L.G, L.Start);
+  ASSERT_TRUE(P.parse(Large).accepted());
+  ParseResult Held = P.parse(Small);
+  ASSERT_TRUE(Held.accepted());
+  const adt::Arena *HeldArena = P.epochArena()->pairedResults();
+  ASSERT_TRUE(HeldArena->owns(Held.tree().get()));
+  size_t TreeBytes =
+      Held.tree()->nodeCount() * (sizeof(Tree) + sizeof(TreePtr));
+  EXPECT_LE(HeldArena->capacity(), 3 * TreeBytes);
 }
 
 TEST(AllocBackends, BitIdenticalWithEpochHandoff) {
-  // The escape mode changes ownership, never structure: handed-off
-  // results match the sharedptr backend's bit for bit.
+  // Holding results moves later parses to fresh result arenas; that
+  // changes ownership, never structure: held results match the sharedptr
+  // backend's bit for bit.
   std::mt19937_64 Rng(20260807);
   int Grammars = 0;
   while (Grammars < 40) {
@@ -358,25 +366,26 @@ TEST(AllocBackends, BitIdenticalWithEpochHandoff) {
       continue;
     ++Grammars;
     DerivationSampler Sampler(A, Rng());
-    ParseOptions HandoffOpts =
-        withBackends(adt::AllocBackend::Arena, CacheBackend::Hashed);
-    HandoffOpts.DetachResults = false;
     Parser Shared(G, 0,
                   withBackends(adt::AllocBackend::SharedPtrPaperFaithful,
                                CacheBackend::Hashed));
-    Parser Handoff(G, 0, HandoffOpts);
-    std::vector<ParseResult> Held; // pin every epoch while comparing
+    Parser Arena(G, 0,
+                 withBackends(adt::AllocBackend::Arena, CacheBackend::Hashed));
+    std::vector<std::pair<ParseResult, ParseResult>> Held;
     for (int WordTrial = 0; WordTrial < 3; ++WordTrial) {
       Word W = Sampler.sampleWord(0, 5);
       if (W.size() > 40)
         continue;
-      Machine::Stats SS, SH;
+      Machine::Stats SS, SA;
       ParseResult RS = Shared.parse(W, &SS);
-      ParseResult RH = Handoff.parse(W, &SH);
-      expectIdentical(RS, RH, G);
-      expectStatsIdenticalModuloBytes(SS, SH, G);
-      Held.push_back(std::move(RH));
+      ParseResult RA = Arena.parse(W, &SA);
+      expectIdentical(RS, RA, G);
+      expectStatsIdenticalModuloBytes(SS, SA, G);
+      Held.emplace_back(std::move(RS), std::move(RA));
     }
+    // Compared again after every later parse has run.
+    for (const auto &[RS, RA] : Held)
+      expectIdentical(RS, RA, G);
   }
 }
 

@@ -10,9 +10,10 @@
 /// stacks closure built and die with the machine, before the arena is
 /// rewound. Every other cache outlives the run, so its new states are
 /// copied to the heap at intern. This suite drives every kind of run over
-/// one shared arena and reads cache states after each; under
-/// AddressSanitizer the arena poisons a rewound epoch, so any read of an
-/// arena stack that outlived its epoch is reported.
+/// one shared arena and reads cache states after each, and holds some
+/// results across all later runs; under AddressSanitizer the arena
+/// poisons a rewound epoch, so any read of an arena stack or tree node
+/// that outlived its epoch is reported.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,14 +67,15 @@ TEST(CacheLifetime, CachesSurviveRewindsOfOneSharedArena) {
   adt::Arena Epoch;
   ParseOptions Default;
   Default.AllocArena = &Epoch;
-  ParseOptions Handoff = Default;
-  Handoff.DetachResults = false;
   ParseOptions Reuse = Default;
   Reuse.ReuseCache = true;
   Parser Reusing(L.G, L.Start, Reuse);
   SllCache Shared(CacheBackend::Hashed);
 
   uint64_t EpochLocalArenaFrames = 0;
+  // Results held across every later rewind of the shared arena, with the
+  // reference trees they must still equal at the end.
+  std::vector<std::pair<ParseResult, TreePtr>> Held;
   for (size_t I = 0; I < Words.size(); ++I) {
     const Word &W = Words[I];
     TreePtr Expected = Reference.parse(W).tree();
@@ -81,15 +83,18 @@ TEST(CacheLifetime, CachesSurviveRewindsOfOneSharedArena) {
     switch (I % 4) {
     case 0:
     case 1: {
-      // Default and zero-copy-handoff machines: their own caches are
-      // epoch-local, read here after run() and before the next rewind.
-      Machine M(L.G, Tables, L.Start, W, I % 4 ? Handoff : Default);
+      // Default machines: their own caches are epoch-local, read here
+      // after run() and before the next rewind. Every other one's result
+      // is kept past all later rewinds.
+      Machine M(L.G, Tables, L.Start, W, Default);
       ParseResult R = M.run();
       ASSERT_TRUE(R.accepted());
       EXPECT_TRUE(Tree::equals(*R.tree(), *Expected));
       StackCensus C = census(M.cache(), Epoch);
       EXPECT_GT(M.cache().numStates(), 0u);
       EpochLocalArenaFrames += C.InArena;
+      if (I % 4)
+        Held.emplace_back(std::move(R), Expected);
       break;
     }
     case 2: {
@@ -128,4 +133,9 @@ TEST(CacheLifetime, CachesSurviveRewindsOfOneSharedArena) {
   EXPECT_GT(census(Shared, Epoch).Frames, 0u);
   // The epoch-local caches copied nothing: their states kept arena stacks.
   EXPECT_GT(EpochLocalArenaFrames, 0u);
+  // Held results own their trees: no rewind of the shared arena touched
+  // them.
+  ASSERT_FALSE(Held.empty());
+  for (const auto &[R, Expected] : Held)
+    EXPECT_TRUE(Tree::equals(*R.tree(), *Expected));
 }

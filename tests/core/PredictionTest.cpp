@@ -15,15 +15,13 @@
 
 #include "core/Prediction.h"
 
+#include "../SmallStack.h"
 #include "../TestGrammars.h"
 #include "core/Parser.h"
 
 #include <gtest/gtest.h>
 
-#include <pthread.h>
-
 #include <algorithm>
-#include <functional>
 #include <random>
 #include <string>
 #include <unordered_map>
@@ -363,24 +361,6 @@ TEST(Prediction, InternKeepsPrefixStatesDistinctWithDenseIds) {
 
 namespace {
 
-/// Runs \p Fn on a fresh thread with a \p StackBytes native stack, so a
-/// recursion whose depth grows with the input overflows it loudly.
-void runOnSmallStack(size_t StackBytes, const std::function<void()> &Fn) {
-  pthread_attr_t Attr;
-  ASSERT_EQ(pthread_attr_init(&Attr), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&Attr, StackBytes), 0);
-  pthread_t Thread;
-  auto Trampoline = [](void *Arg) -> void * {
-    (*static_cast<const std::function<void()> *>(Arg))();
-    return nullptr;
-  };
-  ASSERT_EQ(pthread_create(&Thread, &Attr, Trampoline,
-                           const_cast<std::function<void()> *>(&Fn)),
-            0);
-  pthread_join(Thread, nullptr);
-  pthread_attr_destroy(&Attr);
-}
-
 /// Depth of the deepest sim stack cached in \p Cache, in time linear in
 /// the distinct stack nodes (cached stacks share tails across states).
 size_t deepestCachedStack(const SllCache &Cache) {
@@ -447,7 +427,7 @@ TEST(Prediction, DetachCopiesADeepArenaStackOnASmallThreadStack) {
   SllCache Cache(CacheBackend::Hashed);
   size_t Copied = 0, LeftInArena = 0;
   runOnSmallStack(256 * 1024, [&] {
-    adt::ScopedArena Scope(&Epoch);
+    adt::ScopedArena Scope(&Epoch, nullptr);
     SimStackPtr Stack;
     for (size_t I = 0; I < Depth; ++I)
       Stack = makeSimStack(SimFrame{0, &G.production(0).Rhs, 0}, Stack);

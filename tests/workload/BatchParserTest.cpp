@@ -203,11 +203,11 @@ TEST(BatchParser, AllocBackendsAgreeUnderThreading) {
     // dependent — the single-threaded AllocEquivalenceTest pins that
     // counter under identical cache states instead.
     EXPECT_EQ(RS.Aggregate.Consumes, RA.Aggregate.Consumes);
-    // Every returned tree must have escaped its worker's epoch: results
-    // are heap-owned, never pointers into a (since rewound) arena slab.
-    for (const ParseResult &R : RA.Results) {
-      if (R.accepted()) {
-        EXPECT_FALSE(adt::Arena::ownedByLiveArena(R.tree().get()));
+    // Every returned tree owns its result arena: it outlives the workers
+    // and their scratch arenas, and later words never rewound it.
+    for (size_t I = 0; I < RA.Results.size(); ++I) {
+      if (RA.Results[I].accepted()) {
+        EXPECT_EQ(RA.Results[I].tree()->yield(), Corpus[I]);
       }
     }
   }
