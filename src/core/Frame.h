@@ -33,9 +33,9 @@ namespace costar {
 /// consumed a token (Section 4.1). A persistent AVL set with a counting
 /// comparator, mirroring the MSetAVL sets of the Coq extraction. Path-copy
 /// nodes come from the parse epoch's arena when one is active
-/// (adt::EpochNodePolicy): visited sets churn on every push/return and
-/// never outlive the parse — cached DFA configs carry empty sets, asserted
-/// at SllCache::intern.
+/// (adt::EpochNodePolicy): the machine's set churns on every push/return
+/// and never outlives the parse. Prediction keeps no such set per
+/// subparser; it derives one from the stack (core/Prediction.cpp).
 using VisitedSet =
     adt::PersistentSet<NonterminalId, CompareNT, adt::EpochNodePolicy>;
 

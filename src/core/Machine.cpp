@@ -10,6 +10,8 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
+
 using namespace costar;
 
 namespace {
@@ -386,19 +388,24 @@ std::string costar::checkMachineInvariants(const Grammar &G,
              "nonterminal";
   }
 
-  // Visited-set invariant (Lemma 5.10): every visited nonterminal is an
-  // open nonterminal in some caller frame.
-  std::string Violation;
-  Visited.forEach([&](NonterminalId X) {
-    if (!Violation.empty())
-      return;
-    for (size_t I = 0; I + 1 < Stack.size(); ++I) {
-      const Frame &F = Stack[I];
-      if (!F.done() && F.headSymbol() == Symbol::nonterminal(X))
-        return;
-    }
-    Violation = "visited nonterminal " + G.nonterminalName(X) +
-                " is not open in any caller frame";
-  });
-  return Violation;
+  // Visited-set invariant (Lemma 5.10, sharpened): the visited set is
+  // exactly the left-hand sides of the top |Visited| frames, the frames
+  // pushed since the last consume. Each of those is open in the frame
+  // below it (WfUpper), which is the lemma's statement; LL prediction
+  // also seeds its subparsers' visited frames from this.
+  size_t NumVisited = Visited.size();
+  if (NumVisited >= Stack.size())
+    return "visited set is larger than the pushed frames";
+  std::vector<NonterminalId> TopLhs;
+  for (size_t I = Stack.size() - NumVisited; I < Stack.size(); ++I) {
+    NonterminalId Lhs = G.production(Stack[I].Prod).Lhs;
+    if (!Visited.contains(Lhs))
+      return "pushed frame for " + G.nonterminalName(Lhs) +
+             " is not in the visited set";
+    TopLhs.push_back(Lhs);
+  }
+  std::sort(TopLhs.begin(), TopLhs.end());
+  if (std::adjacent_find(TopLhs.begin(), TopLhs.end()) != TopLhs.end())
+    return "visited set is not the left-hand sides of the top frames";
+  return "";
 }

@@ -261,7 +261,8 @@ private:
 /// Structural invariant checker used when ParseOptions::CheckInvariants is
 /// set and by the invariant-preservation property tests. Covers the
 /// executable content of StacksWf_I (Figure 4) and the visited-set
-/// invariant behind Lemma 5.10.
+/// invariant behind Lemma 5.10, in the exact form LL prediction relies on:
+/// the visited set is the left-hand sides of the top |Visited| frames.
 ///
 /// \returns an empty string if all invariants hold, otherwise a description
 /// of the first violation.

@@ -9,7 +9,6 @@
 #include "obs/Trace.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace costar;
 
@@ -122,39 +121,204 @@ struct ClosureOut {
   std::optional<ParseError> Err;
 };
 
+/// One closure work item: a subparser plus what closure needs to detect
+/// left recursion. The paper's per-subparser visited set (Section 4.1) is
+/// always the set of left-hand sides of the frames pushed since the last
+/// move and still on the stack: a push adds its nonterminal with the new
+/// frame, a return removes the left-hand side of the frame it pops, and a
+/// move empties it. So it is carried implicitly. Depth counts those top
+/// frames; Mask is a 64-bit summary of their left-hand sides, a superset
+/// that may keep bits of frames already returned from, so that most
+/// pushes are cleared without walking the stack.
+struct SimItem {
+  ProductionId Prediction;
+  uint32_t Depth;
+  uint64_t Mask;
+  SimStackPtr Stack;
+};
+
+uint64_t maskBit(NonterminalId X) { return uint64_t(1) << (X & 63); }
+
+/// closure's dedup set over (prediction, stack) identities, kept per thread
+/// so that a closure allocates nothing once the table has grown to its
+/// working size. It is emptied by bumping a generation stamp, the same
+/// pattern as DetachScratch below. A probe compares the O(1) hash-consed
+/// identity hash, then the prediction, then the stacks structurally
+/// (short-circuiting on shared tails).
+///
+/// simStackEquals holds on pointer equality, so an entry must never
+/// outlive its stack node: a node freed mid-closure could be reallocated
+/// at the same address for a different stack. Arena nodes live until the
+/// epoch is rewound, and the heap nodes of cached states live as long as
+/// the cache; but without a scratch arena every node is an owning
+/// make_shared, and the popped item may hold the only reference. So in
+/// that case the table pins each stack it records until release().
+class ClosureSeen {
+  struct Entry {
+    uint64_t Hash = 0;
+    const SimStackNode *Stack = nullptr;
+    ProductionId Prediction = 0;
+    uint32_t Gen = 0;
+  };
+  std::vector<Entry> Table; // power-of-two size, at most half full
+  std::vector<SimStackPtr> Pinned;
+  uint32_t Gen = 0;
+  size_t Count = 0;
+  bool Pin = false;
+
+  void place(const Entry &E) {
+    size_t I = static_cast<size_t>(E.Hash) & (Table.size() - 1);
+    while (Table[I].Gen == Gen)
+      I = (I + 1) & (Table.size() - 1);
+    Table[I] = E;
+  }
+
+  void grow() {
+    std::vector<Entry> Old = std::move(Table);
+    // Fresh entries carry stamp 0, never the live one.
+    Table.assign(std::max<size_t>(256, Old.size() * 2), Entry{});
+    for (const Entry &E : Old)
+      if (E.Gen == Gen)
+        place(E);
+  }
+
+public:
+  /// Forgets every recorded subparser. \p PinStacks: the stacks are owning
+  /// heap handles (no scratch arena is installed).
+  void reset(bool PinStacks) {
+    Count = 0;
+    Pin = PinStacks;
+    if (++Gen == 0) { // the stamp wrapped: old entries would read as live
+      std::fill(Table.begin(), Table.end(), Entry{});
+      Gen = 1;
+    }
+  }
+
+  /// Drops the pins taken since reset().
+  void release() { Pinned.clear(); }
+
+  /// Records (\p Prediction, \p Stack). \returns false if an equal
+  /// subparser was already recorded since reset().
+  bool insert(ProductionId Prediction, const SimStackPtr &Stack) {
+    uint64_t Hash = subparserHash(Prediction, Stack.get());
+    if ((Count + 1) * 2 > Table.size())
+      grow();
+    size_t I = static_cast<size_t>(Hash) & (Table.size() - 1);
+    for (;; I = (I + 1) & (Table.size() - 1)) {
+      const Entry &E = Table[I];
+      if (E.Gen != Gen)
+        break;
+      if (E.Hash == Hash && E.Prediction == Prediction &&
+          simStackEquals(E.Stack, Stack.get()))
+        return false;
+    }
+    Table[I] = Entry{Hash, Stack.get(), Prediction, Gen};
+    ++Count;
+    if (Pin && Stack)
+      Pinned.push_back(Stack);
+    return true;
+  }
+};
+
 /// Shared subparser simulation engine for both prediction modes. The
-/// worklist and the dedup set are members so their buffers (and the dedup
-/// set's bucket array) are reused across every closure round of one
-/// prediction call instead of being reallocated per simulated token.
+/// worklist is a member so that its buffer is reused across every closure
+/// round of one prediction call instead of being reallocated per
+/// simulated token.
 class Simulator {
   const Grammar &G;
   const PredictionTables *Tables; // non-null iff Mode == SLL
   SimMode Mode;
   robust::BudgetTracker *Budget; // may be null (no budget checking)
+  std::vector<SimItem> Work;
 
-  // Dedup on the hash-consed (prediction, stack) identity: the hash is
-  // O(1) to read off the stack head, and the structural equality check
-  // short-circuits on shared tails, so a dedup probe no longer
-  // serializes the whole stack.
-  struct SeenKey {
-    ProductionId Prediction;
-    SimStackPtr Stack;
-    uint64_t Hash;
-  };
-  struct SeenHash {
-    size_t operator()(const SeenKey &K) const {
-      return static_cast<size_t>(K.Hash);
+  /// Whether pushing \p Y from \p It reopens a nonterminal of its visited
+  /// set: the left-hand side of one of its top Depth frames.
+  bool reopens(const SimItem &It, NonterminalId Y) const {
+    if (!(It.Mask & maskBit(Y)))
+      return false;
+    const SimStackNode *N = It.Stack.get();
+    for (uint32_t I = 0; I < It.Depth; ++I, N = N->Tail.get()) {
+      assert(N && N->F.Prod != InvalidProductionId &&
+             "visited frames must be pushed grammar frames");
+      if (G.production(N->F.Prod).Lhs == Y)
+        return true;
     }
-  };
-  struct SeenEq {
-    bool operator()(const SeenKey &A, const SeenKey &B) const {
-      return A.Prediction == B.Prediction &&
-             simStackEquals(A.Stack.get(), B.Stack.get());
-    }
-  };
+    return false;
+  }
 
-  std::vector<Subparser> Work;
-  std::unordered_set<SeenKey, SeenHash, SeenEq> Seen;
+  /// Drains the worklist into \p Out; see closure().
+  void run(ClosureSeen &Seen, ClosureOut &Out) {
+    while (!Work.empty()) {
+      // Closure rounds, not machine steps, dominate worst-case prediction
+      // work, so the budget is ticked here too.
+      if (Budget) {
+        if (std::optional<robust::BudgetReason> R = Budget->tick()) {
+          Out.Err = ParseError::budgetExceeded(*R);
+          return;
+        }
+      }
+      SimItem It = std::move(Work.back());
+      Work.pop_back();
+      if (!Seen.insert(It.Prediction, It.Stack))
+        continue;
+
+      if (!It.Stack) {
+        Out.Configs.push_back(Subparser{It.Prediction, nullptr});
+        continue;
+      }
+      const SimFrame &Top = It.Stack->F;
+      if (Top.done()) {
+        if (Top.Prod == InvalidProductionId) {
+          // The simulated machine's bottom frame is exhausted: the whole
+          // parse completed (LL mode only; SLL stacks never hold it).
+          assert(Mode == SimMode::LL && !It.Stack->Tail &&
+                 "bottom frame must be the lowest LL sim frame");
+          Out.Configs.push_back(Subparser{It.Prediction, nullptr});
+          continue;
+        }
+        // The popped frame leaves the visited frames if it was one of them.
+        uint32_t Depth = It.Depth ? It.Depth - 1 : 0;
+        uint64_t Mask = Depth ? It.Mask : 0;
+        if (It.Stack->Tail) {
+          // Ordinary return: advance the caller past the open nonterminal.
+          SimFrame Caller = It.Stack->Tail->F;
+          assert(!Caller.done() && Caller.headSymbol().isNonterminal() &&
+                 "caller frame has no open nonterminal");
+          Caller.Pos += 1;
+          Work.push_back(SimItem{It.Prediction, Depth, Mask,
+                                 makeSimStack(Caller, It.Stack->Tail->Tail)});
+          continue;
+        }
+        // Empty-stack return: simulate a return to the statically computed
+        // stable caller frames (the SLL overapproximation, Section 3.5).
+        // The returned-to frames were never pushed, so nothing is visited.
+        assert(Mode == SimMode::SLL &&
+               "LL subparser stack emptied below the bottom frame");
+        NonterminalId Lhs = G.production(Top.Prod).Lhs;
+        if (Tables->canFinish(Lhs))
+          Work.push_back(SimItem{It.Prediction, 0, 0, nullptr});
+        for (const SimFrame &Target : Tables->returnTargets(Lhs))
+          Work.push_back(
+              SimItem{It.Prediction, 0, 0, makeSimStack(Target, nullptr)});
+        continue;
+      }
+
+      Symbol Head = Top.headSymbol();
+      if (Head.isTerminal()) {
+        Out.Configs.push_back(Subparser{It.Prediction, std::move(It.Stack)});
+        continue;
+      }
+      NonterminalId Y = Head.nonterminalId();
+      if (reopens(It, Y)) {
+        Out.Err = ParseError::leftRecursive(Y);
+        return;
+      }
+      for (ProductionId P : G.productionsFor(Y))
+        Work.push_back(SimItem{
+            It.Prediction, It.Depth + 1, It.Mask | maskBit(Y),
+            makeSimStack(SimFrame{P, &G.production(P).Rhs, 0}, It.Stack)});
+    }
+  }
 
 public:
   Simulator(const Grammar &G, const PredictionTables *Tables, SimMode Mode,
@@ -164,16 +328,21 @@ public:
            "SLL simulation requires prediction tables");
   }
 
-  /// Clears the worklist and exposes it for initial seeding; follow with
-  /// closure().
-  std::vector<Subparser> &seed() {
+  /// Seeds the worklist with one subparser per production of \p X, each
+  /// pushed on \p Base with \p Depth visited frames summarized by \p Mask
+  /// (the new frame included); follow with closure().
+  void seed(NonterminalId X, const SimStackPtr &Base, uint32_t Depth,
+            uint64_t Mask) {
     Work.clear();
-    return Work;
+    for (ProductionId P : G.productionsFor(X))
+      Work.push_back(SimItem{
+          P, Depth, Mask,
+          makeSimStack(SimFrame{P, &G.production(P).Rhs, 0}, Base)});
   }
 
   /// Consumes terminal \p T, seeding the worklist for the next closure():
-  /// stable subparsers whose head matches advance (resetting their visited
-  /// sets); all others, including finals, die.
+  /// stable subparsers whose head matches advance (with nothing visited);
+  /// all others, including finals, die.
   void moveInto(const std::vector<Subparser> &Configs, TerminalId T) {
     Work.clear();
     for (const Subparser &Sp : Configs) {
@@ -186,100 +355,22 @@ public:
         continue;
       SimFrame Advanced = Top;
       Advanced.Pos += 1;
-      Work.push_back(Subparser{Sp.Prediction,
-                               makeSimStack(Advanced, Sp.Stack->Tail),
-                               VisitedSet()});
+      Work.push_back(SimItem{Sp.Prediction, 0, 0,
+                             makeSimStack(Advanced, Sp.Stack->Tail)});
     }
   }
 
   /// Advances every seeded subparser until it is stable (head symbol is
   /// a terminal) or final (stack empty), forking at nonterminals and
   /// performing returns at exhausted frames. Detects left recursion via the
-  /// per-subparser visited sets. Drains the worklist seeded by seed() or
+  /// stack-derived visited sets. Drains the worklist seeded by seed() or
   /// moveInto().
   ClosureOut closure() {
+    thread_local ClosureSeen Seen;
+    Seen.reset(/*PinStacks=*/adt::scratchArena() == nullptr);
     ClosureOut Out;
-    Seen.clear();
-    while (!Work.empty()) {
-      // Closure rounds, not machine steps, dominate worst-case prediction
-      // work, so the budget is ticked here too.
-      if (Budget) {
-        if (std::optional<robust::BudgetReason> R = Budget->tick()) {
-          Out.Err = ParseError::budgetExceeded(*R);
-          return Out;
-        }
-      }
-      Subparser Sp = std::move(Work.back());
-      Work.pop_back();
-      if (!Seen.insert(SeenKey{Sp.Prediction, Sp.Stack, subparserHash(Sp)})
-               .second)
-        continue;
-
-      if (!Sp.Stack) {
-        // Emitted configs' visited sets are never consulted again (the
-        // next simulation step is a move, which resets them), so drop
-        // them here to keep cached DFA states lean.
-        Sp.Visited = VisitedSet();
-        Out.Configs.push_back(std::move(Sp));
-        continue;
-      }
-      const SimFrame &Top = Sp.Stack->F;
-      if (Top.done()) {
-        if (Top.Prod == InvalidProductionId) {
-          // The simulated machine's bottom frame is exhausted: the whole
-          // parse completed (LL mode only; SLL stacks never hold it).
-          assert(Mode == SimMode::LL && !Sp.Stack->Tail &&
-                 "bottom frame must be the lowest LL sim frame");
-          Out.Configs.push_back(
-              Subparser{Sp.Prediction, nullptr, std::move(Sp.Visited)});
-          continue;
-        }
-        NonterminalId Lhs = G.production(Top.Prod).Lhs;
-        VisitedSet PoppedVisited = Sp.Visited.erase(Lhs);
-        if (Sp.Stack->Tail) {
-          // Ordinary return: advance the caller past the open nonterminal.
-          SimFrame Caller = Sp.Stack->Tail->F;
-          assert(!Caller.done() && Caller.headSymbol().isNonterminal() &&
-                 "caller frame has no open nonterminal");
-          Caller.Pos += 1;
-          Work.push_back(
-              Subparser{Sp.Prediction,
-                        makeSimStack(Caller, Sp.Stack->Tail->Tail),
-                        std::move(PoppedVisited)});
-          continue;
-        }
-        // Empty-stack return: simulate a return to the statically computed
-        // stable caller frames (the SLL overapproximation, Section 3.5).
-        assert(Mode == SimMode::SLL &&
-               "LL subparser stack emptied below the bottom frame");
-        if (Tables->canFinish(Lhs))
-          Work.push_back(Subparser{Sp.Prediction, nullptr, PoppedVisited});
-        for (const SimFrame &Target : Tables->returnTargets(Lhs))
-          Work.push_back(Subparser{Sp.Prediction,
-                                   makeSimStack(Target, nullptr),
-                                   PoppedVisited});
-        continue;
-      }
-
-      Symbol Head = Top.headSymbol();
-      if (Head.isTerminal()) {
-        Sp.Visited = VisitedSet();
-        Out.Configs.push_back(std::move(Sp));
-        continue;
-      }
-      NonterminalId Y = Head.nonterminalId();
-      if (Sp.Visited.contains(Y)) {
-        Out.Err = ParseError::leftRecursive(Y);
-        return Out;
-      }
-      VisitedSet PushedVisited = Sp.Visited.insert(Y);
-      for (ProductionId P : G.productionsFor(Y))
-        Work.push_back(
-            Subparser{Sp.Prediction,
-                      makeSimStack(SimFrame{P, &G.production(P).Rhs, 0},
-                                   Sp.Stack),
-                      PushedVisited});
-    }
+    run(Seen, Out);
+    Seen.release();
     return Out;
   }
 };
@@ -339,13 +430,14 @@ PredictionResult costar::llPredict(const Grammar &G, NonterminalId X,
     Base = makeSimStack(SimFrame{F.Prod, F.Syms, static_cast<uint32_t>(F.Next)},
                         Base);
 
+  // The machine's visited set is the left-hand sides of its top |Visited|
+  // frames, so the seeds' visited frames are those plus their own.
+  assert(Visited.size() < MachineStack.size() &&
+         "visited set larger than the pushed frames");
+  uint64_t Mask = maskBit(X);
+  Visited.forEach([&](NonterminalId V) { Mask |= maskBit(V); });
   Simulator Sim(G, nullptr, SimMode::LL, Budget);
-  VisitedSet InitVisited = Visited.insert(X);
-  std::vector<Subparser> &Init = Sim.seed();
-  for (ProductionId P : G.productionsFor(X))
-    Init.push_back(
-        Subparser{P, makeSimStack(SimFrame{P, &G.production(P).Rhs, 0}, Base),
-                  InitVisited});
+  Sim.seed(X, Base, static_cast<uint32_t>(Visited.size()) + 1, Mask);
 
   ClosureOut CR = Sim.closure();
   size_t I = Pos;
@@ -464,8 +556,6 @@ void detachConfigs(const adt::Arena &A, std::vector<Subparser> &Configs) {
   Memo.reset();
   std::vector<const SimStackNode *> &Order = Memo.Order, &Path = Memo.Path;
   for (const Subparser &Sp : Configs) {
-    assert(Sp.Visited.empty() &&
-           "cached configs must carry empty visited sets");
     Path.clear();
     for (const SimStackNode *N = Sp.Stack.get();
          N && A.owns(N) && !Memo.find(N); N = N->Tail.get())
@@ -673,13 +763,7 @@ PredictionResult costar::sllPredict(const Grammar &G,
       Trace->emit(obs::EventKind::SllCacheHit, Sid, UINT32_MAX, 0, Pos);
   } else {
     ++Cache.Misses;
-    VisitedSet InitVisited = VisitedSet().insert(X);
-    std::vector<Subparser> &Init = Sim.seed();
-    for (ProductionId P : G.productionsFor(X))
-      Init.push_back(
-          Subparser{P,
-                    makeSimStack(SimFrame{P, &G.production(P).Rhs, 0}, nullptr),
-                    InitVisited});
+    Sim.seed(X, nullptr, /*Depth=*/1, maskBit(X));
     ClosureOut CR = Sim.closure();
     if (CR.Err)
       return PredictionResult::error(*CR.Err);

@@ -28,9 +28,11 @@
 /// AmbigP result is genuine input ambiguity and flips the machine's
 /// uniqueness flag.
 ///
-/// Both modes carry per-subparser visited sets so that prediction detects
-/// left recursion dynamically, just like the top-level machine (the paper
-/// factors the same lemmata across both proofs; we factor the same code).
+/// Both modes detect left recursion dynamically, just like the top-level
+/// machine (the paper factors the same lemmata across both proofs). The
+/// paper gives each subparser its own visited set; here closure derives it
+/// from the subparser's stack instead (see Simulator in Prediction.cpp),
+/// so a cached config is just a prediction and a stack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -143,30 +145,31 @@ inline bool simStackEquals(const SimStackNode *A, const SimStackNode *B) {
 /// A subparser theta = (gamma, Psi): the prediction it carries plus its
 /// simulation stack. A null Stack means the subparser has completed an
 /// entire simulated parse ("final"); it survives only if the token sequence
-/// is exhausted at that point.
+/// is exhausted at that point. The paper's per-subparser visited set is
+/// not stored: it only matters inside one closure, which derives it from
+/// the stack.
 struct Subparser {
   ProductionId Prediction = InvalidProductionId;
   SimStackPtr Stack;
-  /// Nonterminals opened but not closed since the last simulated consume;
-  /// used for dynamic left-recursion detection inside prediction.
-  VisitedSet Visited;
 };
 
 /// Serializes a subparser's (prediction, stack) identity as words: the
 /// AvlPaperFaithful cache's DFA-state keys, whose comparisons are the
-/// Section 6.1 cost profile. Visited sets are excluded: they only
-/// influence left-recursion errors, not simulation moves.
+/// Section 6.1 cost profile.
 void serializeSubparser(const Subparser &Sp, std::vector<uint32_t> &Out);
 
 /// O(1) identity hash of a subparser's (prediction, stack), reading the
 /// hash-consed stack hash. Consistent with subparserEquals.
+inline uint64_t subparserHash(ProductionId Prediction,
+                              const SimStackNode *Stack) {
+  uint64_t StackHash = Stack ? Stack->Hash : 0xFEEDFACEull;
+  return adt::mix64(StackHash ^ Prediction);
+}
 inline uint64_t subparserHash(const Subparser &Sp) {
-  uint64_t StackHash = Sp.Stack ? Sp.Stack->Hash : 0xFEEDFACEull;
-  return adt::mix64(StackHash ^ Sp.Prediction);
+  return subparserHash(Sp.Prediction, Sp.Stack.get());
 }
 
-/// Structural identity of two subparsers (visited sets excluded, matching
-/// serializeSubparser).
+/// Structural identity of two subparsers, matching serializeSubparser.
 inline bool subparserEquals(const Subparser &A, const Subparser &B) {
   return A.Prediction == B.Prediction &&
          simStackEquals(A.Stack.get(), B.Stack.get());
@@ -451,11 +454,12 @@ struct PredictionStats {
 
 /// LL prediction for decision nonterminal \p X. \p MachineStack is the
 /// machine's frame stack (bottom to top; the top frame's head symbol must
-/// be X), \p Visited the machine's visited set, and \p Input / \p Pos the
-/// remaining token sequence. \p Budget, when armed, is ticked per closure
-/// round and per simulated token; a tripped budget surfaces as an Error
-/// result carrying ParseErrorKind::BudgetExceeded, which the machine
-/// converts to the structured BudgetExceeded outcome.
+/// be X), \p Visited the machine's visited set, which must be the left-hand
+/// sides of the top |Visited| frames (checkMachineInvariants), and
+/// \p Input / \p Pos the remaining token sequence. \p Budget, when armed,
+/// is ticked per closure round and per simulated token; a tripped budget
+/// surfaces as an Error result carrying ParseErrorKind::BudgetExceeded,
+/// which the machine converts to the structured BudgetExceeded outcome.
 PredictionResult llPredict(const Grammar &G, NonterminalId X,
                            std::span<const Frame> MachineStack,
                            const VisitedSet &Visited, const Word &Input,

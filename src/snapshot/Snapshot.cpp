@@ -10,10 +10,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <set>
 #include <unordered_map>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -314,6 +314,39 @@ public:
   }
 };
 
+/// The (Prod, Pos, TailRef) triples of the node table read so far, for
+/// decodeSll's duplicate-entry check: linear probing over a table sized
+/// once from the section's node count, at most two-thirds full, so a load
+/// never rehashes. Prod is validated before insert, so UINT32_MAX (never a
+/// production id) marks an empty slot.
+class NodeTripleSet {
+  struct Slot {
+    uint32_t Prod = UINT32_MAX, Pos = 0, TailRef = 0;
+  };
+  std::vector<Slot> Slots;
+
+public:
+  explicit NodeTripleSet(uint32_t NumNodes)
+      : Slots(std::bit_ceil(std::max<uint64_t>(
+            16, uint64_t(NumNodes) + NumNodes / 2 + 1))) {}
+
+  /// \returns false if the triple was already inserted.
+  bool insert(uint32_t Prod, uint32_t Pos, uint32_t TailRef) {
+    uint64_t Hash = adt::mix64(
+        adt::mix64((static_cast<uint64_t>(Prod) << 32) | Pos) ^ TailRef);
+    for (size_t I = Hash & (Slots.size() - 1);;
+         I = (I + 1) & (Slots.size() - 1)) {
+      Slot &S = Slots[I];
+      if (S.Prod == UINT32_MAX) {
+        S = Slot{Prod, Pos, TailRef};
+        return true;
+      }
+      if (S.Prod == Prod && S.Pos == Pos && S.TailRef == TailRef)
+        return false;
+    }
+  }
+};
+
 /// Rebuilds the SLL cache from its section payload. On any malformed
 /// content, \p Detail explains what broke and the function returns false
 /// with \p Out untouched. Structural invariants of cached configs are
@@ -358,7 +391,7 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
   // in a hostile file would be a stack-overflow bomb.
   std::vector<SimStackPtr> Nodes;
   std::vector<uint32_t> Depths, TailRefs;
-  std::set<std::array<uint32_t, 3>> SeenNodes;
+  NodeTripleSet SeenNodes(NumNodes);
   Nodes.reserve(NumNodes);
   Depths.reserve(NumNodes);
   TailRefs.reserve(NumNodes);
@@ -381,7 +414,7 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
       Detail = "sim-stack node tail ref does not point backwards";
       return false;
     }
-    if (!SeenNodes.insert({Prod, Pos, TailRef}).second) {
+    if (!SeenNodes.insert(Prod, Pos, TailRef)) {
       Detail = "duplicate sim-stack node entry";
       return false;
     }
@@ -444,7 +477,7 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
         }
         Referenced[StackRef - 1] = true;
       }
-      Configs.push_back(Subparser{Pred, std::move(Stack), VisitedSet()});
+      Configs.push_back(Subparser{Pred, std::move(Stack)});
     }
     // Re-intern the config list and demand the stored id back:
     // resolutions and final-prediction sets are recomputed on exactly the

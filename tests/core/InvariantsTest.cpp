@@ -32,7 +32,8 @@ struct MachineStateBuilder {
   std::vector<Frame> Stack;
   VisitedSet Visited;
 
-  MachineStateBuilder() : G(figure2Grammar()) {
+  explicit MachineStateBuilder(Grammar Gr = figure2Grammar())
+      : G(std::move(Gr)) {
     NonterminalId S = G.lookupNonterminal("S");
     StartSyms = {Symbol::nonterminal(S)};
     Stack.push_back(Frame{InvalidProductionId, &StartSyms, 0, {}});
@@ -109,6 +110,29 @@ TEST(Invariants, VisitedNonterminalMustBeOpenInACallerFrame) {
   NonterminalId A = B.G.lookupNonterminal("A");
   // A is visited but no caller frame has A open.
   B.Visited = B.Visited.insert(A);
+  std::string Violation = B.check();
+  EXPECT_NE(Violation, "");
+  EXPECT_NE(Violation.find("visited"), std::string::npos);
+}
+
+TEST(Invariants, VisitedSetMustBeTheTopFramesLeftHandSides) {
+  // S -> . A d, then A -> a . B (a consumed), then B -> . b. A is open in
+  // a caller frame, which is all Lemma 5.10 needs; but the consume emptied
+  // the visited set, so only B can be visited now. LL prediction seeds
+  // its visited frames from the top |Visited| frames, so {A} is illegal.
+  MachineStateBuilder B(makeGrammar("S -> A d\nA -> a B\nB -> b\n"));
+  NonterminalId S = B.G.lookupNonterminal("S");
+  NonterminalId A = B.G.lookupNonterminal("A");
+  NonterminalId BNt = B.G.lookupNonterminal("B");
+  B.push(B.G.productionsFor(S)[0]);
+  B.push(B.G.productionsFor(A)[0]);
+  B.Stack.back().Next = 1;
+  B.Stack.back().Trees.push_back(
+      Tree::leaf(Token(B.G.lookupTerminal("a"), "a")));
+  B.Visited = VisitedSet();
+  B.push(B.G.productionsFor(BNt)[0]);
+  EXPECT_EQ(B.check(), "") << "the legal state: only B is visited";
+  B.Visited = VisitedSet().insert(A);
   std::string Violation = B.check();
   EXPECT_NE(Violation, "");
   EXPECT_NE(Violation.find("visited"), std::string::npos);

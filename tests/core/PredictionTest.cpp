@@ -17,6 +17,7 @@
 
 #include "../SmallStack.h"
 #include "../TestGrammars.h"
+#include "core/Machine.h"
 #include "core/Parser.h"
 
 #include <gtest/gtest.h>
@@ -83,6 +84,109 @@ TEST(Prediction, LlDetectsLeftRecursionInSimulation) {
   PredictionResult R = llPredict(G, S, Ctx.Stack, VisitedSet(), W, 0);
   ASSERT_EQ(R.ResultKind, PredictionResult::Kind::Error);
   EXPECT_EQ(R.Err.Kind, ParseErrorKind::LeftRecursive);
+}
+
+namespace {
+
+/// Runs SLL prediction for nonterminal \p X of \p G on \p Text with a
+/// fresh cache, analysing the grammar from \p Start.
+PredictionResult sllOn(const Grammar &G, const char *Start, const char *X,
+                       const char *Text) {
+  GrammarAnalysis A(G, G.lookupNonterminal(Start));
+  PredictionTables T(G, A);
+  SllCache Cache;
+  return sllPredict(G, T, Cache, G.lookupNonterminal(X), makeWord(G, Text),
+                    0);
+}
+
+void expectLeftRecursive(const PredictionResult &R, const Grammar &G,
+                         const char *X) {
+  ASSERT_EQ(R.ResultKind, PredictionResult::Kind::Error);
+  EXPECT_EQ(R.Err.Kind, ParseErrorKind::LeftRecursive);
+  EXPECT_EQ(G.nonterminalName(R.Err.Nt), X);
+}
+
+} // namespace
+
+TEST(Prediction, SllStartStateDetectsDirectLeftRecursion) {
+  Grammar G = makeGrammar("S -> S a\nS -> b\n");
+  expectLeftRecursive(sllOn(G, "S", "S", "b a"), G, "S");
+}
+
+TEST(Prediction, SllDetectsLeftRecursionHiddenByANullablePrefix) {
+  // B derives only the empty word, so A -> B A x reopens A after B
+  // returns: the return must leave A visited.
+  Grammar G = makeGrammar("S -> A\nA -> B A x\nA -> y\nB ->\n");
+  expectLeftRecursive(sllOn(G, "S", "A", "y x"), G, "A");
+}
+
+TEST(Prediction, SllDetectsALoopReachedAfterAnEmptyStackReturn) {
+  // Deciding A empties the stack at once (A -> ε); the simulated return
+  // to the static caller S -> A . C then reaches C's left recursion. The
+  // returned-to frame was never pushed, so only C is visited there.
+  Grammar G = makeGrammar("S -> A C\nA ->\nA -> a\nC -> C c\nC -> d\n");
+  expectLeftRecursive(sllOn(G, "S", "A", "d"), G, "C");
+}
+
+TEST(Prediction, LlSeedsTheMachineVisitedSet) {
+  // The machine has pushed S -> . A x, so S is visited when it predicts
+  // A. The alternative A -> S y pushes S again: that push is the left
+  // recursion. (Ignoring the machine's set would instead flag A, one
+  // push later.)
+  Grammar G = makeGrammar("S -> A x\nA -> S y\nA -> z\n");
+  NonterminalId S = G.lookupNonterminal("S");
+  NonterminalId A = G.lookupNonterminal("A");
+  StartContext Ctx(S);
+  ProductionId SAx = G.productionsFor(S)[0];
+  Ctx.Stack.push_back(Frame{SAx, &G.production(SAx).Rhs, 0, {}});
+  VisitedSet Visited = VisitedSet().insert(S);
+  ASSERT_EQ(checkMachineInvariants(G, Ctx.Stack, Visited), "");
+  PredictionResult R =
+      llPredict(G, A, Ctx.Stack, Visited, makeWord(G, "z x"), 0);
+  expectLeftRecursive(R, G, "S");
+}
+
+TEST(Prediction, ReturnedNonterminalIsNoLongerVisited) {
+  // After the move on a, Y -> a . Y Y c pushes Y, whose empty alternative
+  // returns at once; the next Y push must not count that closed Y as
+  // open. Both modes must parse this non-left-recursive grammar.
+  Grammar G = makeGrammar("S -> Y d\nS -> Y e\nY -> a Y Y c\nY ->\n");
+  NonterminalId S = G.lookupNonterminal("S");
+  PredictionResult Sll = sllOn(G, "S", "S", "a c d");
+  ASSERT_EQ(Sll.ResultKind, PredictionResult::Kind::Unique);
+  EXPECT_EQ(Sll.Prod, G.productionsFor(S)[0]);
+  StartContext Ctx(S);
+  PredictionResult Ll =
+      llPredict(G, S, Ctx.Stack, VisitedSet(), makeWord(G, "a c e"), 0);
+  ASSERT_EQ(Ll.ResultKind, PredictionResult::Kind::Unique);
+  EXPECT_EQ(Ll.Prod, G.productionsFor(S)[1]);
+}
+
+TEST(Prediction, ClosureDedupsSeedsThatConvergeOnOneStack) {
+  // After the move on a, each prediction has two seeds, X -> a . B and
+  // X -> a . C, and both return to the same caller stack. Closure keeps
+  // one config per (prediction, stack): S -> X's seeds both finish the
+  // parse (one final config), and S -> X e's both park on e (one stable
+  // config).
+  Grammar G = makeGrammar("S -> X\nS -> X e\nX -> a B\nX -> a C\nB ->\n"
+                          "C ->\n");
+  NonterminalId S = G.lookupNonterminal("S");
+  GrammarAnalysis A(G, S);
+  PredictionTables T(G, A);
+  SllCache Cache;
+  PredictionResult R = sllPredict(G, T, Cache, S, makeWord(G, "a"), 0);
+  ASSERT_EQ(R.ResultKind, PredictionResult::Kind::Unique);
+  EXPECT_EQ(R.Prod, G.productionsFor(S)[0]);
+  std::optional<uint32_t> Start = Cache.findStart(S);
+  ASSERT_TRUE(Start);
+  EXPECT_EQ(Cache.state(*Start).Configs.size(), 4u);
+  std::optional<uint32_t> Next =
+      Cache.findTransition(*Start, G.lookupTerminal("a"));
+  ASSERT_TRUE(Next);
+  const std::vector<Subparser> &Configs = Cache.state(*Next).Configs;
+  ASSERT_EQ(Configs.size(), 2u);
+  EXPECT_EQ(Cache.state(*Next).FinalPreds,
+            std::vector<ProductionId>{G.productionsFor(S)[0]});
 }
 
 TEST(Prediction, StableReturnTargetsForFigure2) {
@@ -204,10 +308,10 @@ TEST(Prediction, SerializeSubparserDistinguishesStacks) {
     return std::make_shared<SimStackNode>(
         SimFrame{P, &G.production(P).Rhs, Pos}, Tail);
   };
-  Subparser A{P0, Node(P0, 0, nullptr), VisitedSet()};
-  Subparser B{P0, Node(P0, 1, nullptr), VisitedSet()};
-  Subparser C{P0, Node(P0, 0, Node(P1, 0, nullptr)), VisitedSet()};
-  Subparser Final{P0, nullptr, VisitedSet()};
+  Subparser A{P0, Node(P0, 0, nullptr)};
+  Subparser B{P0, Node(P0, 1, nullptr)};
+  Subparser C{P0, Node(P0, 0, Node(P1, 0, nullptr))};
+  Subparser Final{P0, nullptr};
   std::vector<uint32_t> KA, KB, KC, KF;
   serializeSubparser(A, KA);
   serializeSubparser(B, KB);
@@ -239,7 +343,7 @@ struct StackBuilder {
 std::vector<Subparser> sampleConfigs(const Grammar &G) {
   StackBuilder Node{G};
   auto Sp = [](ProductionId P, SimStackPtr Stack) {
-    return Subparser{P, std::move(Stack), VisitedSet()};
+    return Subparser{P, std::move(Stack)};
   };
   SimStackPtr Base = Node(1, 0, nullptr);
   return {Sp(0, Node(0, 0, nullptr)),     Sp(0, Node(0, 1, nullptr)),
@@ -260,7 +364,7 @@ std::vector<Subparser> deepCopy(const Grammar &G,
     SimStackPtr Copy;
     for (auto It = Frames.rbegin(); It != Frames.rend(); ++It)
       Copy = Node((*It)->F.Prod, (*It)->F.Pos, Copy);
-    Out.push_back(Subparser{Sp.Prediction, Copy, VisitedSet()});
+    Out.push_back(Subparser{Sp.Prediction, Copy});
   }
   return Out;
 }
@@ -284,16 +388,16 @@ TEST(Prediction, CompareSubparsersBreaksHashTiesStructurally) {
   Grammar G = figure2Grammar();
   StackBuilder Node{G};
   SimStackPtr Base = Node(1, 0, nullptr);
-  Subparser Short{0, Base, VisitedSet()};
-  Subparser Long{0, Node(0, 0, Base), VisitedSet()};
-  Subparser OtherPred{1, Base, VisitedSet()};
-  Subparser Final{0, nullptr, VisitedSet()};
+  Subparser Short{0, Base};
+  Subparser Long{0, Node(0, 0, Base)};
+  Subparser OtherPred{1, Base};
+  Subparser Final{0, nullptr};
   EXPECT_LT(compareSubparsers(Short, OtherPred), 0) << "prediction first";
   EXPECT_LT(compareSubparsers(Final, Short), 0) << "shorter stack first";
   // Frames compare from the top down: (0, 0) on top sorts before (1, 0).
   EXPECT_LT(compareSubparsers(Long, Short), 0);
   EXPECT_GT(compareSubparsers(Short, Long), 0);
-  Subparser ShortCopy{0, Node(1, 0, nullptr), VisitedSet()};
+  Subparser ShortCopy{0, Node(1, 0, nullptr)};
   EXPECT_EQ(compareSubparsers(Short, ShortCopy), 0);
 }
 
@@ -431,7 +535,7 @@ TEST(Prediction, DetachCopiesADeepArenaStackOnASmallThreadStack) {
     SimStackPtr Stack;
     for (size_t I = 0; I < Depth; ++I)
       Stack = makeSimStack(SimFrame{0, &G.production(0).Rhs, 0}, Stack);
-    uint32_t Id = Cache.intern({Subparser{0, Stack, VisitedSet()}});
+    uint32_t Id = Cache.intern({Subparser{0, Stack}});
     for (const SimStackNode *N = Cache.state(Id).Configs[0].Stack.get(); N;
          N = N->Tail.get()) {
       ++Copied;
