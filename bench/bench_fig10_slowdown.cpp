@@ -69,13 +69,12 @@ int main(int Argc, char **Argv) {
   int I = 0;
   for (lang::LangId Id : lang::allLanguages()) {
     BenchCorpus C = makeTimingCorpus(Id, /*NumFiles=*/8);
-    // The paper's configuration: every substitution layer on its
-    // paper-faithful backend (AVL cache, shared_ptr stacks, std::set
-    // FIRST/FOLLOW), and the scalar lexer for the pipeline column.
+    // The paper's configuration: every parse-time substitution layer on
+    // its paper-faithful backend (AVL cache, shared_ptr stacks), and the
+    // scalar lexer for the pipeline column.
     ParseOptions PaperCfg;
     PaperCfg.Backend = CacheBackend::AvlPaperFaithful;
     PaperCfg.Alloc = adt::AllocBackend::SharedPtrPaperFaithful;
-    PaperCfg.Analysis = AnalysisBackend::SetPaperFaithful;
     Parser CoStar(C.L.G, C.L.Start, PaperCfg);
     C.L.setLexBackend(lexer::LexBackend::ScalarPaperFaithful);
     atn::AtnParser Baseline(C.L.G, C.L.Start);

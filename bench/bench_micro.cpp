@@ -9,13 +9,11 @@
 /// from, on the shared BenchUtil harness ({name, metric, value, unit}
 /// records, --json-out/--warmup/--reps, COSTAR_BENCH_SCALE).
 ///
-/// Two kernel families carry hard gates, enforced here (exit status) and
+/// One kernel family carries a hard gate, enforced here (exit status) and
 /// against the committed BENCH_micro.json by
-/// scripts/check_bench_regression.py. Both gates are within-run speedup
-/// ratios, so they are machine-independent:
+/// scripts/check_bench_regression.py. The gate is a within-run speedup
+/// ratio, so it is machine-independent:
 ///
-///   membership/*  — bitset FIRST/FOLLOW membership (grammar/FirstFollow.h)
-///                   must be >= 1.3x the paper-faithful std::set lookups;
 ///   lexer/*       — SWAR table scanning (lexer/ScanTable.h) must be
 ///                   >= 1.5x the byte-at-a-time scalar DFA walk on the
 ///                   JSON and Python corpora.
@@ -75,51 +73,7 @@ void gate(const std::string &Label, double Ratio, double Threshold) {
 }
 
 //===----------------------------------------------------------------------===//
-// Gated kernel 1: FIRST/FOLLOW membership, set vs. bitset
-//===----------------------------------------------------------------------===//
-
-void benchMembership(const BenchOptions &Opts, lang::LangId Id,
-                     const std::string &Tag) {
-  lang::Language L = lang::makeLanguage(Id);
-  GrammarAnalysis Set(L.G, L.Start, AnalysisBackend::SetPaperFaithful);
-  GrammarAnalysis Bit(L.G, L.Start, AnalysisBackend::Bitset);
-
-  // A fixed pseudorandom query mix over the whole (nonterminal, terminal)
-  // space; identical for both backends.
-  size_t NumQueries =
-      static_cast<size_t>(1 << 16) * std::max(0.05, benchScale());
-  std::mt19937_64 Rng(7);
-  std::vector<NonterminalId> Xs(NumQueries);
-  std::vector<TerminalId> Ts(NumQueries);
-  for (size_t I = 0; I < NumQueries; ++I) {
-    Xs[I] = static_cast<NonterminalId>(Rng() % L.G.numNonterminals());
-    Ts[I] = static_cast<TerminalId>(Rng() % L.G.numTerminals());
-  }
-
-  auto Run = [&](const GrammarAnalysis &A) {
-    uint64_t Hits = 0;
-    for (size_t I = 0; I < NumQueries; ++I) {
-      Hits += A.firstContains(Xs[I], Ts[I]);
-      Hits += A.followContains(Xs[I], Ts[I]);
-    }
-    consume(Hits);
-  };
-
-  double SetSec = measureSeconds([&] { Run(Set); }, Opts);
-  double BitSec = measureSeconds([&] { Run(Bit); }, Opts);
-  double TestsPerPass = 2.0 * static_cast<double>(NumQueries);
-  double Speedup = SetSec / BitSec;
-
-  record("membership/" + Tag, "set_tests_per_sec", TestsPerPass / SetSec,
-         "tests/s");
-  record("membership/" + Tag, "bitset_tests_per_sec", TestsPerPass / BitSec,
-         "tests/s");
-  record("membership/" + Tag, "bitset_speedup", Speedup, "x");
-  gate("membership/" + Tag + " bitset_speedup", Speedup, 1.3);
-}
-
-//===----------------------------------------------------------------------===//
-// Gated kernel 2: maximal-munch lexer throughput, scalar vs. SWAR
+// Gated kernel: maximal-munch lexer throughput, scalar vs. SWAR
 //===----------------------------------------------------------------------===//
 
 /// Checksum pass over every source via Scanner::munch — the bulk
@@ -480,11 +434,8 @@ void benchEndToEnd(const BenchOptions &Opts) {
 int main(int Argc, char **Argv) {
   BenchOptions Opts = parseBenchArgs(Argc, Argv, "BENCH_micro.json");
 
-  std::printf("=== Micro kernels (gated: membership bitset >=1.3x, lexer "
-              "SWAR >=1.5x) ===\n\n");
+  std::printf("=== Micro kernels (gated: lexer SWAR >=1.5x) ===\n\n");
 
-  benchMembership(Opts, lang::LangId::Json, "json");
-  benchMembership(Opts, lang::LangId::Python, "python");
   benchLexer(Opts, lang::LangId::Json, "json");
   benchLexer(Opts, lang::LangId::Python, "python");
   benchContainers(Opts);

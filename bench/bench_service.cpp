@@ -8,11 +8,12 @@
 /// Benchmarks the parse-service runtime (src/service/) on the Python
 /// workload, the heaviest of the four paper grammars:
 ///
-///  1. Saturation throughput: BatchParser on the service runtime vs. the
-///     legacy flat thread pool, same corpus, same worker count. The
-///     service's admission/routing layer must not tax throughput — the
-///     within-run ratio is a hard gate (>= 0.9x) and the committed
-///     regression gate (scripts/check_bench_regression.py).
+///  1. Worker scaling: the same closed-loop corpus drain (BatchParser,
+///     which runs on the service runtime) with N workers against one
+///     worker. The ratio of interleaved minimum times is self-relative,
+///     so it needs no second engine as a baseline; it is gated by
+///     scripts/check_bench_regression.py only where the machine has the
+///     parallel capacity to show it.
 ///
 ///  2. Open-loop latency: a paced generator submits requests at a fixed
 ///     fraction of the measured saturation rate — arrivals do not wait
@@ -34,10 +35,9 @@
 ///     deadline_met_rate is recorded (never gated — met rates are
 ///     machine-dependent).
 ///
-/// Machine-independent ratios (saturation_vs_batch, p99_over_p50) carry
-/// the regression gates; absolute tok/s
-/// and microseconds are recorded for the EXPERIMENTS.md tables but never
-/// gated.
+/// Machine-independent ratios (workers_speedup, p99_over_p50) carry the
+/// regression gates; absolute tok/s and microseconds are recorded for the
+/// EXPERIMENTS.md tables but never gated.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -318,38 +318,55 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(C.TotalTokens));
 
   workload::BatchParser BP(C.L.G, C.L.Start);
+  const unsigned ParallelCapacity =
+      std::min(std::thread::hardware_concurrency(), Workers);
 
-  // 1. Saturation: the same closed-loop corpus drain on both engines.
-  workload::BatchOptions Flat;
-  Flat.Threads = Workers;
-  Flat.UseService = false;
-  double FlatSec = measureSeconds(
-      [&] { (void)BP.parseAll(C.TokenStreams, Flat); }, Opts);
-  double FlatTokS = double(C.TotalTokens) / FlatSec;
-
-  workload::BatchOptions OnService = Flat;
-  OnService.UseService = true;
-  double ServiceSec = measureSeconds(
-      [&] { (void)BP.parseAll(C.TokenStreams, OnService); }, Opts);
-  double ServiceTokS = double(C.TotalTokens) / ServiceSec;
-
-  double Ratio = ServiceTokS / FlatTokS;
-  std::printf("saturation: flat pool %.0f tok/s, service %.0f tok/s "
-              "(%.3fx)\n",
-              FlatTokS, ServiceTokS, Ratio);
+  // 1. Worker scaling: one closed-loop corpus drain per sample, N workers
+  //    and one worker interleaved so a slow phase of the machine lands on
+  //    both sides. External load only ever adds time, so the ratio of
+  //    minimum times is the steady estimator (as in bench_micro's lexer
+  //    kernel); five samples a side did not steady it on 4 threads,
+  //    eleven did (EXPERIMENTS.md). The N-worker median paces the open
+  //    loops below, as a saturation rate they can sustain.
+  auto Drain = [&](unsigned Threads) {
+    workload::BatchOptions BO;
+    BO.Threads = Threads;
+    return stats::timeOnce([&] { (void)BP.parseAll(C.TokenStreams, BO); });
+  };
+  for (int I = 0; I < Opts.Warmup; ++I) {
+    (void)Drain(Workers);
+    (void)Drain(1);
+  }
+  std::vector<double> ManySec, OneSec;
+  for (int R = 0; R < std::max(11, Opts.Reps); ++R) {
+    ManySec.push_back(Drain(Workers));
+    OneSec.push_back(Drain(1));
+  }
+  std::sort(ManySec.begin(), ManySec.end());
+  std::sort(OneSec.begin(), OneSec.end());
+  double ManyBest = ManySec.front(), OneBest = OneSec.front();
+  double ServiceTokS = double(C.TotalTokens) / ManyBest;
+  double OneTokS = double(C.TotalTokens) / OneBest;
+  double Speedup = OneBest / ManyBest;
+  std::printf("scaling: 1 worker %.0f tok/s, %u workers %.0f tok/s "
+              "(%.3fx, parallel capacity %u)\n",
+              OneTokS, Workers, ServiceTokS, Speedup, ParallelCapacity);
 
   // 2. Open-loop latency at 50%% and 90%% of saturation.
   GrammarAnalysis Analysis(C.L.G, C.L.Start);
   PredictionTables Tables(C.L.G, Analysis);
   double AvgTokens = double(C.TotalTokens) / double(C.TokenStreams.size());
-  double SatRate = ServiceTokS / AvgTokens; // requests/sec at saturation
+  double SatTokS = double(C.TotalTokens) / ManySec[ManySec.size() / 2];
+  double SatRate = SatTokS / AvgTokens; // requests/sec at saturation
 
   std::vector<BenchRecord> Records;
-  Records.push_back({"service/python", "batch_tok_per_sec", FlatTokS,
+  Records.push_back({"service/python", "one_worker_tok_per_sec", OneTokS,
                      "tok/s"});
   Records.push_back({"service/python", "service_tok_per_sec", ServiceTokS,
                      "tok/s"});
-  Records.push_back({"service/python", "saturation_vs_batch", Ratio, "x"});
+  Records.push_back({"service/python", "workers_speedup", Speedup, "x"});
+  Records.push_back({"service/python", "parallel_capacity",
+                     double(ParallelCapacity), "threads"});
 
   for (double Load : {0.5, 0.9}) {
     // Bound each load level to ~20 scaled seconds of offered traffic so
@@ -378,8 +395,6 @@ int main(int Argc, char **Argv) {
   }
 
   // 3. Skewed grammar mix.
-  const unsigned ParallelCapacity =
-      std::min(std::thread::hardware_concurrency(), Workers);
   std::printf("== skewed mix: 4 grammars, python-heavy, %u workers ==\n",
               Workers);
   size_t MixProbe = std::max<size_t>(
@@ -439,18 +454,5 @@ int main(int Argc, char **Argv) {
 
   if (!writeBenchJson(Records, Opts.JsonOut))
     return 1;
-
-  // Hard gate: the service runtime must sustain the flat pool's
-  // saturation throughput (>= 0.9x leaves room for run-to-run noise; the
-  // committed-baseline gate tracks the ratio more tightly over time).
-  if (Ratio < 0.9) {
-    std::fprintf(stderr,
-                 "GATE FAILED: service saturation %.3fx of flat pool "
-                 "(needs >= 0.9)\n",
-                 Ratio);
-    return 1;
-  }
-  std::printf("gate ok: service saturation %.3fx of flat pool (>= 0.9)\n",
-              Ratio);
   return 0;
 }

@@ -70,13 +70,6 @@ GATES = {
         higher("warm/small-suite", "arena_speedup"),
     ],
     "BENCH_micro.json": [
-        # The membership ratio is huge (10-30x) but its denominator — the
-        # std::set walk — is itself cache-sensitive, so the quotient
-        # swings widely run to run; the absolute floor carries the claim.
-        higher("membership/json", "bitset_speedup", tolerance=0.60,
-               bound=1.3),
-        higher("membership/python", "bitset_speedup", tolerance=0.60,
-               bound=1.3),
         higher("lexer/json", "batched_speedup", tolerance=0.35, bound=1.5),
         higher("lexer/python", "batched_speedup", tolerance=0.35,
                bound=1.5),
@@ -121,11 +114,16 @@ GATES = {
               bound=2.0),
     ],
     "BENCH_service.json": [
-        # The service runtime's admission/routing layer must not tax
-        # saturation throughput vs. the flat thread pool (bound mirrors
-        # the bench's own hard gate).
-        higher("service/python", "saturation_vs_batch", tolerance=0.15,
-               bound=0.9),
+        # Worker scaling: N-worker over 1-worker tok/s on one cold Python
+        # corpus drain, interleaved min-of-times. Self-relative, so it
+        # needs no second engine; it needs real parallel capacity, so a
+        # runner with fewer than 4 hardware threads reports it as
+        # skipped (unverified). Seven runs at the CI scale 0.25 on 4
+        # threads read 1.66-2.09x (median 1.83x): the tolerance is twice
+        # the worst drop below that median (9.5%), and the bound sits
+        # below every run, where workers no longer overlap.
+        higher("service/python", "workers_speedup", tolerance=0.20,
+               bound=1.3, min_parallel=4),
         # Tail-latency gate: absolute microseconds never transfer across
         # machines, but p99/p50 within one run is set by the corpus size
         # spread plus queueing amplification, both of which do. At 50%
@@ -219,8 +217,9 @@ def main():
             cur_cap = cur.get(cap_key)
             if cur_cap is None or cur_cap < mp:
                 cap = "?" if cur_cap is None else f"{cur_cap:.0f}"
-                print(f"SKIP  {label}: current run parallel capacity "
-                      f"{cap} < {mp} (scenario needs real parallelism)")
+                print(f"SKIP  {label}: unverified, current run parallel "
+                      f"capacity {cap} < {mp} (scenario needs real "
+                      f"parallelism)")
                 continue
             base_cap = base.get(cap_key)
             if base_cap is None or base_cap < mp:

@@ -170,8 +170,7 @@ public:
   }
 
   /// Calls \p Fn(col) for each set bit of row \p R in ascending column
-  /// order — the same order a std::set<uint32_t> iterates, which is what
-  /// keeps diagnostics byte-identical across the set and bitset backends.
+  /// order, which keeps diagnostics built from the rows deterministic.
   template <typename FnT> void forEachSetBit(uint32_t R, FnT &&Fn) const {
     const uint64_t *Row = rowData(R);
     for (uint32_t I = 0; I < Stride; ++I) {

@@ -81,25 +81,10 @@ struct AllocationCounters {
   }
 };
 
-/// Thread-local counters for the flat-table fast paths (bitset FIRST/FOLLOW
-/// membership, table-driven SWAR lexing). The differential story mirrors
-/// ComparisonCounters: the set-backed baseline bumps nonterminal()/cacheKey()
-/// through CountingLess, the flat paths bump these, and a profile harness can
-/// report how much of the paper's Section 6.1 comparison traffic moved onto
-/// O(1) lookups. obs::publishTableCounters snapshots them into a
-/// MetricsRegistry.
+/// Thread-local counters for the lexer's scan paths: input bytes consumed
+/// by the table-driven SWAR lexer and by the scalar paper-faithful one, so
+/// a test can tell which backend actually ran.
 struct TableCounters {
-  /// Bitset FIRST-membership tests (GrammarAnalysis::firstContains on the
-  /// Bitset backend).
-  static uint64_t &firstBitTests() {
-    thread_local uint64_t Count = 0;
-    return Count;
-  }
-  /// Bitset FOLLOW-membership tests (followContains on the Bitset backend).
-  static uint64_t &followBitTests() {
-    thread_local uint64_t Count = 0;
-    return Count;
-  }
   /// Input bytes consumed by the SWAR table-scan lexer path.
   static uint64_t &lexSwarBytes() {
     thread_local uint64_t Count = 0;
@@ -111,8 +96,6 @@ struct TableCounters {
     return Count;
   }
   static void reset() {
-    firstBitTests() = 0;
-    followBitTests() = 0;
     lexSwarBytes() = 0;
     lexScalarBytes() = 0;
   }

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
 
 using namespace costar;
 using namespace costar::analysis;
@@ -169,13 +168,9 @@ nullableContextEdges(const Grammar &G, const GrammarAnalysis &A) {
 // LL(1) conflict prediction
 //===----------------------------------------------------------------------===//
 
-/// How a production claimed an LL(1) table cell: via FIRST of its
-/// right-hand side, or via FOLLOW of its left-hand side (nullable RHS).
-enum class CellSource : uint8_t { First, Follow };
-
 struct CellClaim {
   ProductionId Prod = InvalidProductionId;
-  CellSource Source = CellSource::First;
+  Ll1ClaimSource Source = Ll1ClaimSource::First;
 };
 
 /// One aggregated conflict between two productions of a nonterminal.
@@ -198,8 +193,8 @@ std::vector<Conflict> findLl1Conflicts(const Grammar &G,
                            : "'" + G.terminalName(T) + "'";
   };
 
-  auto Claim = [&](NonterminalId X, uint32_t T, ProductionId P,
-                   CellSource Source) {
+  auto Claim = [&](ProductionId P, NonterminalId X, uint32_t T,
+                   Ll1ClaimSource Source) {
     CellClaim &Cell = Table[static_cast<size_t>(X) * Stride + T];
     if (Cell.Prod == InvalidProductionId) {
       Cell = CellClaim{P, Source};
@@ -207,8 +202,8 @@ std::vector<Conflict> findLl1Conflicts(const Grammar &G,
     }
     if (Cell.Prod == P)
       return;
-    bool FirstFirst =
-        Cell.Source == CellSource::First && Source == CellSource::First;
+    bool FirstFirst = Cell.Source == Ll1ClaimSource::First &&
+                      Source == Ll1ClaimSource::First;
     for (Conflict &C : Out) {
       if (C.Nt == X && C.First == Cell.Prod && C.Second == P &&
           C.FirstFirst == FirstFirst) {
@@ -219,34 +214,10 @@ std::vector<Conflict> findLl1Conflicts(const Grammar &G,
     Out.push_back(Conflict{X, Cell.Prod, P, FirstFirst, {Lookahead(T)}});
   };
 
-  if (const FirstFollowTables *T = A.tables()) {
-    // Shared claim enumeration (grammar/FirstFollow.h): the same routine
-    // that fills ll1::Ll1Table, so the static conflict report and the
-    // LL(1) parser generator can never disagree about a cell.
-    forEachLl1Claim(G, *T,
-                    [&](ProductionId Id, NonterminalId X, uint32_t C,
-                        Ll1ClaimSource Source) {
-                      Claim(X, C, Id,
-                            Source == Ll1ClaimSource::First
-                                ? CellSource::First
-                                : CellSource::Follow);
-                    });
-    return Out;
-  }
-
-  for (ProductionId Id = 0; Id < G.numProductions(); ++Id) {
-    const Production &P = G.production(Id);
-    bool Nullable = false;
-    std::set<TerminalId> First = A.firstOfSeq(P.Rhs, Nullable);
-    for (TerminalId T : First)
-      Claim(P.Lhs, T, Id, CellSource::First);
-    if (Nullable) {
-      for (TerminalId T : A.follow(P.Lhs))
-        Claim(P.Lhs, T, Id, CellSource::Follow);
-      if (A.followEnd(P.Lhs))
-        Claim(P.Lhs, Stride - 1, Id, CellSource::Follow);
-    }
-  }
+  // Shared claim enumeration (grammar/FirstFollow.h): the same routine
+  // that fills ll1::Ll1Table, so the static conflict report and the LL(1)
+  // parser generator can never disagree about a cell.
+  forEachLl1Claim(G, A.tables(), Claim);
   return Out;
 }
 

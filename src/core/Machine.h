@@ -77,21 +77,13 @@ struct ParseOptions {
   /// (AllocEquivalenceTest); only throughput and bytes-per-token differ.
   adt::AllocBackend Alloc = adt::AllocBackend::Arena;
 
-  /// Which FIRST/FOLLOW substrate backs the grammar analysis the parser
-  /// builds at construction (grammar/Analysis.h): Bitset (the default)
-  /// answers membership with flat uint64_t tables; SetPaperFaithful runs
-  /// the std::set fixpoints matching the paper's extracted code. Parse
-  /// results, stats, and traces are bit-identical across backends
-  /// (AnalysisEquivalenceTest); only construction and lookup cost differ.
-  AnalysisBackend Analysis = AnalysisBackend::Bitset;
-
   /// The scratch arena to use when Alloc == Arena. When null the machine
   /// creates a private one; Parser installs its own persistent arena here
   /// so runs reuse warmed slabs across parse() calls. The arena also keeps
   /// the result arena of its last parse and reuses it once no result holds
   /// it and it fits the next input (adt::Arena::nextResultArena). Arenas
   /// are single-threaded: never share one across concurrently running
-  /// parses (BatchParser overrides this field with a per-worker arena).
+  /// parses (service workers override this field with a per-worker arena).
   adt::Arena *AllocArena = nullptr;
 
   /// Per-parse resource budget (robust/Budget.h): machine-step cap,

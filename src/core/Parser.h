@@ -29,9 +29,6 @@
 #include "core/Machine.h"
 #include "grammar/Analysis.h"
 
-#include <algorithm>
-#include <chrono>
-
 namespace costar {
 
 /// A reusable CoStar parser for one grammar and start symbol.
@@ -48,13 +45,12 @@ class Parser {
   /// keeps the result arena of the last parse for reuse once no result
   /// holds it (adt::Arena::nextResultArena). Declared after Opts so the
   /// ctor can point Opts.AllocArena at it; the arena must not be mutated
-  /// from multiple threads (BatchParser gives each worker its own
-  /// parser-independent arena instead).
+  /// from multiple threads (service workers each own their arena instead).
   std::unique_ptr<adt::Arena> ParseArena;
 
 public:
   Parser(const Grammar &G, NonterminalId Start, ParseOptions Opts = {})
-      : G(G), Start(Start), Opts(Opts), Analysis(G, Start, Opts.Analysis),
+      : G(G), Start(Start), Opts(Opts), Analysis(G, Start),
         Tables(G, Analysis), SharedCache(Opts.Backend) {
     if (this->Opts.Alloc == adt::AllocBackend::Arena &&
         !this->Opts.AllocArena) {
@@ -72,33 +68,6 @@ public:
     ParseResult Result = M.run();
     if (StatsOut)
       *StatsOut = M.stats();
-    return Result;
-  }
-
-  /// Parses \p Input under an absolute wall-clock deadline: the remaining
-  /// time is folded into the parse's ParseBudget wall cap (tightening any
-  /// cap already configured, never loosening it), so the call returns a
-  /// structured BudgetExceeded{Deadline} instead of running past the
-  /// deadline's usefulness. An already-expired deadline yields an
-  /// immediately-exhausted budget (MaxWallMicros = 0), which trips
-  /// deterministically at the first poll. This is the single-parser form
-  /// of the deadline propagation the parse-service runtime
-  /// (service/Service.h) applies per request.
-  ParseResult parseUntil(const Word &Input,
-                         std::chrono::steady_clock::time_point Deadline,
-                         Machine::Stats *StatsOut = nullptr) {
-    auto Now = std::chrono::steady_clock::now();
-    uint64_t Remaining =
-        Deadline > Now
-            ? static_cast<uint64_t>(
-                  std::chrono::duration_cast<std::chrono::microseconds>(
-                      Deadline - Now)
-                      .count())
-            : 0;
-    ParseOptions Saved = Opts;
-    Opts.Budget.MaxWallMicros = std::min(Opts.Budget.MaxWallMicros, Remaining);
-    ParseResult Result = parse(Input, StatsOut);
-    Opts.Budget = Saved.Budget;
     return Result;
   }
 

@@ -8,147 +8,13 @@
 
 using namespace costar;
 
-GrammarAnalysis::GrammarAnalysis(const Grammar &Grammar, NonterminalId Start,
-                                 AnalysisBackend Backend)
-    : G(Grammar), Backend(Backend) {
+GrammarAnalysis::GrammarAnalysis(const Grammar &Grammar, NonterminalId Start)
+    : G(Grammar), Tables(G, Start) {
   uint32_t N = G.numNonterminals();
-  NullableNt.assign(N, false);
-  FirstNt.assign(N, {});
-  FollowNt.assign(N, {});
-  FollowEndNt.assign(N, false);
   ProductiveNt.assign(N, false);
   MinHeightNt.assign(N, UINT32_MAX);
-  if (Backend == AnalysisBackend::Bitset) {
-    adoptTables(Start);
-  } else {
-    computeNullable();
-    computeFirst();
-    computeFollow(Start);
-  }
   computeProductive();
   computeMinHeight();
-}
-
-void GrammarAnalysis::adoptTables(NonterminalId Start) {
-  Tables.emplace(G, Start);
-  // Materialize the set views so first()/follow() callers and diagnostics
-  // see identical objects on both backends. Ascending bit iteration builds
-  // each set with end-position insert hints, so this is linear per row.
-  uint32_t N = G.numNonterminals();
-  for (uint32_t X = 0; X < N; ++X) {
-    NullableNt[X] = Tables->nullable(X);
-    FollowEndNt[X] = Tables->followEnd(X);
-    std::set<TerminalId> &First = FirstNt[X];
-    Tables->first().forEachSetBit(
-        X, [&](uint32_t T) { First.insert(First.end(), TerminalId(T)); });
-    std::set<TerminalId> &Follow = FollowNt[X];
-    Tables->follow().forEachSetBit(
-        X, [&](uint32_t T) { Follow.insert(Follow.end(), TerminalId(T)); });
-  }
-}
-
-void GrammarAnalysis::computeNullable() {
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (ProductionId Id = 0; Id < G.numProductions(); ++Id) {
-      const Production &P = G.production(Id);
-      if (NullableNt[P.Lhs])
-        continue;
-      bool AllNullable = true;
-      for (Symbol S : P.Rhs) {
-        if (S.isTerminal() || !NullableNt[S.nonterminalId()]) {
-          AllNullable = false;
-          break;
-        }
-      }
-      if (AllNullable) {
-        NullableNt[P.Lhs] = true;
-        Changed = true;
-      }
-    }
-  }
-}
-
-bool GrammarAnalysis::nullableSeq(std::span<const Symbol> Syms) const {
-  for (Symbol S : Syms)
-    if (S.isTerminal() || !NullableNt[S.nonterminalId()])
-      return false;
-  return true;
-}
-
-void GrammarAnalysis::computeFirst() {
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (ProductionId Id = 0; Id < G.numProductions(); ++Id) {
-      const Production &P = G.production(Id);
-      std::set<TerminalId> &First = FirstNt[P.Lhs];
-      size_t Before = First.size();
-      for (Symbol S : P.Rhs) {
-        if (S.isTerminal()) {
-          First.insert(S.terminalId());
-          break;
-        }
-        NonterminalId Y = S.nonterminalId();
-        First.insert(FirstNt[Y].begin(), FirstNt[Y].end());
-        if (!NullableNt[Y])
-          break;
-      }
-      Changed |= First.size() != Before;
-    }
-  }
-}
-
-std::set<TerminalId>
-GrammarAnalysis::firstOfSeq(std::span<const Symbol> Syms,
-                            bool &NullableOut) const {
-  std::set<TerminalId> First;
-  for (Symbol S : Syms) {
-    if (S.isTerminal()) {
-      First.insert(S.terminalId());
-      NullableOut = false;
-      return First;
-    }
-    NonterminalId Y = S.nonterminalId();
-    First.insert(FirstNt[Y].begin(), FirstNt[Y].end());
-    if (!NullableNt[Y]) {
-      NullableOut = false;
-      return First;
-    }
-  }
-  NullableOut = true;
-  return First;
-}
-
-void GrammarAnalysis::computeFollow(NonterminalId Start) {
-  if (Start < FollowEndNt.size())
-    FollowEndNt[Start] = true;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (ProductionId Id = 0; Id < G.numProductions(); ++Id) {
-      const Production &P = G.production(Id);
-      for (size_t I = 0; I < P.Rhs.size(); ++I) {
-        if (P.Rhs[I].isTerminal())
-          continue;
-        NonterminalId X = P.Rhs[I].nonterminalId();
-        size_t Before = FollowNt[X].size();
-        bool BeforeEnd = FollowEndNt[X];
-        bool RestNullable = false;
-        std::span<const Symbol> Rest(P.Rhs.data() + I + 1,
-                                     P.Rhs.size() - I - 1);
-        std::set<TerminalId> RestFirst = firstOfSeq(Rest, RestNullable);
-        FollowNt[X].insert(RestFirst.begin(), RestFirst.end());
-        if (RestNullable) {
-          FollowNt[X].insert(FollowNt[P.Lhs].begin(), FollowNt[P.Lhs].end());
-          if (FollowEndNt[P.Lhs])
-            FollowEndNt[X] = true;
-        }
-        Changed |= FollowNt[X].size() != Before || FollowEndNt[X] != BeforeEnd;
-      }
-    }
-  }
 }
 
 void GrammarAnalysis::computeProductive() {

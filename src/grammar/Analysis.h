@@ -9,16 +9,8 @@
 /// FIRST and FOLLOW sets (used by the LL(1) baseline and by the SLL stable-
 /// return computation), productivity, reachability, and minimum derivation
 /// heights (used by the random sentence sampler). All analyses are standard
-/// monotone fixpoints over the production table.
-///
-/// FIRST/FOLLOW come in two backends behind one API, following the repo's
-/// dual-backend pattern (cache, allocation): SetPaperFaithful runs the
-/// std::set fixpoints mirroring the shape of the paper's extracted code,
-/// Bitset (the default) builds flat grammar/FirstFollow.h tables and
-/// materializes identical set views from them. Both backends expose O(1)
-/// firstContains/followContains where the Bitset backend answers with one
-/// shift+mask; the set backend pays the paper's O(log n) so benchmarks can
-/// measure exactly the gap Section 6.1 describes.
+/// monotone fixpoints over the production table. Nullability, FIRST and
+/// FOLLOW live in the flat bitset tables of grammar/FirstFollow.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,94 +20,43 @@
 #include "grammar/FirstFollow.h"
 #include "grammar/Grammar.h"
 
-#include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
 namespace costar {
 
-/// Which FIRST/FOLLOW substrate GrammarAnalysis runs on. Both produce
-/// bit-identical sets (same least fixpoints); they differ only in lookup
-/// and construction cost.
-enum class AnalysisBackend : uint8_t {
-  /// std::set fixpoints, the shape of the paper's extracted code.
-  SetPaperFaithful,
-  /// Flat uint64_t bitset tables (grammar/FirstFollow.h).
-  Bitset,
-};
-
 /// Precomputed grammar facts. Construct once per grammar; all queries are
 /// O(1) or O(set size).
 class GrammarAnalysis {
   const Grammar &G;
-  AnalysisBackend Backend;
-  /// Populated on the Bitset backend; disengaged on SetPaperFaithful.
-  std::optional<FirstFollowTables> Tables;
-  std::vector<bool> NullableNt;
-  std::vector<std::set<TerminalId>> FirstNt;
-  std::vector<std::set<TerminalId>> FollowNt;
-  /// True if the end of input may follow this nonterminal.
-  std::vector<bool> FollowEndNt;
+  FirstFollowTables Tables;
   std::vector<bool> ProductiveNt;
   /// Minimum height of any derivation tree rooted at this nonterminal;
   /// UINT32_MAX for nonproductive nonterminals.
   std::vector<uint32_t> MinHeightNt;
 
-  void computeNullable();
-  void computeFirst();
-  void computeFollow(NonterminalId Start);
   void computeProductive();
   void computeMinHeight();
-  void adoptTables(NonterminalId Start);
 
 public:
   /// Analyzes \p G; FOLLOW sets are computed relative to \p Start.
-  GrammarAnalysis(const Grammar &G, NonterminalId Start,
-                  AnalysisBackend Backend = AnalysisBackend::Bitset);
+  GrammarAnalysis(const Grammar &G, NonterminalId Start);
 
   const Grammar &grammar() const { return G; }
-  AnalysisBackend backend() const { return Backend; }
 
-  /// The shared flat tables, or nullptr on the SetPaperFaithful backend.
-  /// Consumers that can exploit the flat layout (ll1/Ll1Table,
-  /// analysis/Engine) branch on this once per grammar, not per lookup.
-  const FirstFollowTables *tables() const {
-    return Tables ? &*Tables : nullptr;
-  }
+  /// The flat FIRST/FOLLOW/nullable tables. Consumers that enumerate
+  /// sets (ll1/Ll1Table, analysis/Engine) read the bitset rows directly.
+  const FirstFollowTables &tables() const { return Tables; }
 
-  bool nullable(NonterminalId X) const { return NullableNt[X]; }
+  bool nullable(NonterminalId X) const { return Tables.nullable(X); }
 
   /// \returns true if every symbol in \p Syms derives the empty word.
-  bool nullableSeq(std::span<const Symbol> Syms) const;
-
-  const std::set<TerminalId> &first(NonterminalId X) const {
-    return FirstNt[X];
-  }
-  const std::set<TerminalId> &follow(NonterminalId X) const {
-    return FollowNt[X];
-  }
-  bool followEnd(NonterminalId X) const { return FollowEndNt[X]; }
-
-  /// O(1) membership on the Bitset backend (one shift+mask); O(log n) tree
-  /// search on SetPaperFaithful. The prediction/LL(1) hot paths call these
-  /// instead of materializing sets.
-  bool firstContains(NonterminalId X, TerminalId T) const {
-    if (Tables)
-      return Tables->firstContains(X, T);
-    return FirstNt[X].count(T) != 0;
-  }
-  bool followContains(NonterminalId X, TerminalId T) const {
-    if (Tables)
-      return Tables->followContains(X, T);
-    return FollowNt[X].count(T) != 0;
+  bool nullableSeq(std::span<const Symbol> Syms) const {
+    return Tables.nullableSeq(Syms);
   }
 
-  /// FIRST of a sentential form: the terminals that can begin a word derived
-  /// from \p Syms. \p NullableOut is set to whether the whole form is
-  /// nullable.
-  std::set<TerminalId> firstOfSeq(std::span<const Symbol> Syms,
-                                  bool &NullableOut) const;
+  /// True if the end of input may follow \p X.
+  bool followEnd(NonterminalId X) const { return Tables.followEnd(X); }
 
   /// \returns true if \p X derives at least one terminal string.
   bool productive(NonterminalId X) const { return ProductiveNt[X]; }

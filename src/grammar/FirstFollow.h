@@ -10,15 +10,14 @@
 /// CoStar paper measures the extracted parser spending close to half its
 /// time in log-factor symbol-set operations on large grammars; these tables
 /// make every membership test one shift+mask and every fixpoint transfer a
-/// word-wise OR, while computing *exactly* the same sets as the
-/// paper-faithful std::set fixpoints in grammar/Analysis.cpp (both are
-/// monotone fixpoints of the same equations, so the least solutions
-/// coincide — the randomized equivalence suite checks this per grammar).
+/// word-wise OR, while computing *exactly* the least fixpoints of the
+/// textbook std::set equations (the randomized equivalence suite in
+/// tests/analysis/ keeps those fixpoints as its oracle and checks this per
+/// grammar).
 ///
-/// This is the single shared FIRST/FOLLOW substrate: GrammarAnalysis
-/// (Bitset backend) builds its set views from these rows, and both
-/// ll1/Ll1Table and analysis/Engine derive their LL(1) cell claims through
-/// forEachLl1Claim below, so the two can never drift.
+/// This is the single FIRST/FOLLOW substrate: GrammarAnalysis owns one,
+/// and both ll1/Ll1Table and analysis/Engine derive their LL(1) cell
+/// claims through forEachLl1Claim below, so the two can never drift.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +25,6 @@
 #define COSTAR_GRAMMAR_FIRSTFOLLOW_H
 
 #include "adt/BitMatrix.h"
-#include "adt/Instrument.h"
 #include "grammar/Grammar.h"
 
 #include <span>
@@ -60,17 +58,6 @@ public:
 
   bool nullable(NonterminalId X) const { return NullableNt[X] != 0; }
   bool followEnd(NonterminalId X) const { return FollowEndNt[X] != 0; }
-
-  /// O(1) membership: is \p T in FIRST(X)?
-  bool firstContains(NonterminalId X, TerminalId T) const {
-    ++adt::TableCounters::firstBitTests();
-    return FirstBits.test(X, T);
-  }
-  /// O(1) membership: is \p T in FOLLOW(X)?
-  bool followContains(NonterminalId X, TerminalId T) const {
-    ++adt::TableCounters::followBitTests();
-    return FollowBits.test(X, T);
-  }
 
   const adt::BitMatrix &first() const { return FirstBits; }
   const adt::BitMatrix &follow() const { return FollowBits; }
@@ -116,9 +103,8 @@ enum class Ll1ClaimSource : uint8_t { First, Follow };
 /// may follow lhs) the end column when the rhs is nullable. Calls
 /// \p Claim(Prod, Lhs, Col, Source) with Col in [0, numTerminals()] where
 /// Col == numTerminals() encodes end-of-input; claims for one production
-/// arrive in ascending column order (FIRST block, then FOLLOW block), the
-/// iteration order of the original std::set loops, so conflict diagnostics
-/// stay byte-identical. Both ll1::Ll1Table and analysis::Engine consume
+/// arrive in ascending column order (FIRST block, then FOLLOW block), so
+/// conflict diagnostics are deterministic. Both ll1::Ll1Table and analysis::Engine consume
 /// this — neither owns a private copy of the claim rules.
 template <typename ClaimFnT>
 void forEachLl1Claim(const Grammar &G, const FirstFollowTables &T,

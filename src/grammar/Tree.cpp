@@ -8,9 +8,32 @@
 
 #include "grammar/Grammar.h"
 
+#include <atomic>
 #include <utility>
 
 using namespace costar;
+
+Tree::~Tree() {
+  // A handle is moved onto the local stack only while it is the sole owner
+  // of its node, so the node dies here with an already-emptied forest. Arena
+  // children are non-owning handles (use_count() == 0): the result arena
+  // reclaims them, and they are left alone.
+  std::vector<TreePtr> Doomed;
+  auto Adopt = [&Doomed](Forest &Kids) {
+    for (TreePtr &Kid : Kids)
+      if (Kid.use_count() == 1)
+        Doomed.push_back(std::move(Kid));
+  };
+  Adopt(Children);
+  while (!Doomed.empty()) {
+    TreePtr T = std::move(Doomed.back());
+    Doomed.pop_back();
+    // Pairs with the release decrement of whichever owner dropped its
+    // handle last, so its reads of the node happen before the writes below.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    Adopt(const_cast<Tree &>(*T).Children);
+  }
+}
 
 void Tree::appendYield(Word &Out) const {
   // Children are pushed right to left so leaves pop left to right.

@@ -71,6 +71,13 @@ private:
   friend class adt::Arena; // placement-constructs nodes in the arena path
 
 public:
+  /// Tears down owned children iteratively: on the shared_ptr backend each
+  /// child handle owns its subtree, so letting the forest destroy itself
+  /// would recurse once per nesting level.
+  ~Tree();
+  Tree(const Tree &) = delete;
+  Tree &operator=(const Tree &) = delete;
+
   // Both creation paths feed the thread-local allocation counters (the
   // robust::ParseBudget caps read their deltas) and are an abort-class
   // fault-injection site. With an installed result arena the node is

@@ -16,7 +16,10 @@ Ll1Table::Ll1Table(const GrammarAnalysis &A) : G(A.grammar()) {
   Table.assign(static_cast<size_t>(G.numNonterminals()) * Stride,
                InvalidProductionId);
 
-  auto Enter = [&](NonterminalId X, uint32_t T, ProductionId P) {
+  // One shared claim enumeration (grammar/FirstFollow.h) feeds both this
+  // table and analysis/Engine's conflict pass.
+  forEachLl1Claim(G, A.tables(), [&](ProductionId P, NonterminalId X,
+                                     uint32_t T, Ll1ClaimSource) {
     ProductionId &Cell = cell(X, T);
     if (Cell != InvalidProductionId && Cell != P) {
       std::string Look = T + 1 == Stride ? "<end>" : G.terminalName(T);
@@ -26,32 +29,7 @@ Ll1Table::Ll1Table(const GrammarAnalysis &A) : G(A.grammar()) {
       return;
     }
     Cell = P;
-  };
-
-  if (const FirstFollowTables *T = A.tables()) {
-    // Bitset backend: one shared claim enumeration (grammar/FirstFollow.h)
-    // feeds both this table and analysis/Engine's conflict pass. Claims
-    // arrive in ascending column order, matching the std::set loops below,
-    // so the conflict log is byte-identical across backends.
-    forEachLl1Claim(G, *T,
-                    [&](ProductionId Id, NonterminalId X, uint32_t C,
-                        Ll1ClaimSource) { Enter(X, C, Id); });
-    return;
-  }
-
-  for (ProductionId Id = 0; Id < G.numProductions(); ++Id) {
-    const Production &P = G.production(Id);
-    bool Nullable = false;
-    std::set<TerminalId> First = A.firstOfSeq(P.Rhs, Nullable);
-    for (TerminalId T : First)
-      Enter(P.Lhs, T, Id);
-    if (Nullable) {
-      for (TerminalId T : A.follow(P.Lhs))
-        Enter(P.Lhs, T, Id);
-      if (A.followEnd(P.Lhs))
-        Enter(P.Lhs, Stride - 1, Id);
-    }
-  }
+  });
 }
 
 ParseResult Ll1Parser::parse(const Word &Input) const {

@@ -6,8 +6,6 @@
 
 #include "obs/Metrics.h"
 
-#include "adt/Instrument.h"
-
 #include <algorithm>
 #include <bit>
 
@@ -131,17 +129,4 @@ std::string MetricsRegistry::toJson() const {
   }
   Out += "}}";
   return Out;
-}
-
-void obs::publishTableCounters(MetricsRegistry &R) {
-  using adt::TableCounters;
-  auto Publish = [&](std::string_view Name, uint64_t &Counter) {
-    if (Counter)
-      R.add(Name, Counter);
-    Counter = 0;
-  };
-  Publish("tables.first_bit_tests", TableCounters::firstBitTests());
-  Publish("tables.follow_bit_tests", TableCounters::followBitTests());
-  Publish("lexer.swar_bytes", TableCounters::lexSwarBytes());
-  Publish("lexer.scalar_bytes", TableCounters::lexScalarBytes());
 }

@@ -104,14 +104,6 @@ public:
   std::string toJson() const;
 };
 
-/// Snapshots this thread's flat-table fast-path counters
-/// (adt::TableCounters: bitset FIRST/FOLLOW membership tests, bytes lexed
-/// per scan backend) into \p R under "tables.*" / "lexer.*" names, then
-/// resets them. Call at the same per-thread merge points as the
-/// Machine::Stats publication; zero-valued counters are skipped so empty
-/// registries stay empty.
-void publishTableCounters(MetricsRegistry &R);
-
 } // namespace obs
 } // namespace costar
 

@@ -107,8 +107,7 @@ uint32_t ParseService::addGrammar(const Grammar &G, NonterminalId Start,
   if (Analysis) {
     E->Analysis = Analysis;
   } else {
-    E->OwnedAnalysis =
-        std::make_unique<GrammarAnalysis>(G, Start, Opts.Parse.Analysis);
+    E->OwnedAnalysis = std::make_unique<GrammarAnalysis>(G, Start);
     E->Analysis = E->OwnedAnalysis.get();
   }
   if (Tables) {
@@ -549,9 +548,9 @@ void ParseService::processRequest(WorkerState &WS, QueuedRequest &&QR) {
     QR.Done(std::move(Resp));
 
   // Cache exchange after the response is out the door (publish latency
-  // is the service's, not the request's). Same protocol as BatchParser:
-  // publish every PublishInterval parses of this grammar, then adopt a
-  // strictly warmer snapshot keeping our own activity counters.
+  // is the service's, not the request's): publish every PublishInterval
+  // parses of this grammar, then adopt a strictly warmer snapshot keeping
+  // our own activity counters.
   if (Opts.ShareCache && ++LG.SincePublish >= Opts.PublishInterval) {
     LG.SincePublish = 0;
     if (Trace)

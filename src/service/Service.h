@@ -47,11 +47,9 @@
 /// crashes, exactly-once responses, and bit-identical results vs.
 /// single-threaded parses for every request that succeeds.
 ///
-/// workload::BatchParser is reimplemented on this runtime (its flat
-/// thread pool survives only as a differential baseline), so every batch
-/// guarantee — result determinism across thread counts, trace merge
-/// order, quarantine semantics — is enforced on the service path by the
-/// existing batch suites too.
+/// workload::BatchParser runs on this runtime, so every batch guarantee —
+/// result determinism across thread counts, trace merge order, quarantine
+/// semantics — is enforced on the service path by the batch suites too.
 ///
 //===----------------------------------------------------------------------===//
 

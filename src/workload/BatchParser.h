@@ -8,10 +8,11 @@
 /// Parses a corpus of pre-lexed words over one grammar across N threads
 /// with a shared warm SLL DFA cache (core/SharedSllCache.h). The static
 /// per-grammar work (analysis, SLL stable-return tables) is done once;
-/// workers pull words from a shared index, parse against thread-local
-/// cache copies, and periodically publish/adopt warmer caches, so DFA
-/// construction is amortized across the whole corpus instead of per file
-/// (the Section 6.2 extension, scaled out).
+/// the words run on the parse-service runtime (service/Service.h), whose
+/// workers parse against thread-local cache copies and periodically
+/// publish/adopt warmer caches, so DFA construction is amortized across
+/// the whole corpus instead of per file (the Section 6.2 extension,
+/// scaled out).
 ///
 /// Results are deterministic: each word's ParseResult is independent of
 /// thread count and cache warmth (the warm-vs-cold equivalence property),
@@ -23,7 +24,6 @@
 #define COSTAR_WORKLOAD_BATCHPARSER_H
 
 #include "core/Parser.h"
-#include "core/SharedSllCache.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "robust/Degradation.h"
@@ -71,14 +71,6 @@ struct BatchOptions {
   /// it also covers the publish/adopt cache-exchange sites between
   /// words). ParseOptions::Faults inside Parse is ignored here.
   const robust::FaultPlan *Faults = nullptr;
-  /// Run the batch on the parse-service runtime (service::ParseService:
-  /// per-worker SPSC channels, grammar-affinity workers, graceful drain)
-  /// with batch semantics — no deadlines, no shedding, no breaker, no
-  /// in-place retries, channels sized to the corpus. When false, use the
-  /// legacy flat thread pool, kept as a differential baseline: the
-  /// batch suites assert both paths produce identical results, and
-  /// bench_service gates the service's saturation throughput against it.
-  bool UseService = true;
 };
 
 struct BatchResult {

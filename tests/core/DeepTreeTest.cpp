@@ -9,7 +9,8 @@
 /// result at any depth: yield, equality, printing, node count, and
 /// destruction. A 100k-deep JSON array is parsed and walked on a thread
 /// with a 256 KiB stack, so a walker that recurses once per nesting level
-/// overflows it.
+/// overflows it. On the shared_ptr backend every child handle owns its
+/// subtree, so destruction itself is such a walker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +47,26 @@ TEST(DeepTree, WalkersHandle100kDeepJsonOnASmallThreadStack) {
     EXPECT_EQ(A->tree()->nodeCount(), 7 * Depth - 1);
     A.reset();
     B.reset();
+    Ran = true;
+  });
+  EXPECT_TRUE(Ran);
+}
+
+TEST(DeepTree, SharedPtrTreeOf100kDeepJsonIsDestroyedOnASmallThreadStack) {
+  constexpr size_t Depth = 100000;
+  lang::Language L = lang::makeLanguage(lang::LangId::Json);
+  lexer::LexResult Lex =
+      L.lex(std::string(Depth, '[') + std::string(Depth, ']'));
+  ASSERT_TRUE(Lex.ok());
+  ParseOptions Opts;
+  Opts.Alloc = adt::AllocBackend::SharedPtrPaperFaithful;
+  Parser P(L.G, L.Start, Opts);
+  std::optional<ParseResult> R = P.parse(Lex.Tokens);
+  ASSERT_EQ(R->kind(), ParseResult::Kind::Unique);
+  ASSERT_EQ(R->tree()->nodeCount(), 7 * Depth - 1);
+  bool Ran = false;
+  runOnSmallStack(256 * 1024, [&] {
+    R.reset();
     Ran = true;
   });
   EXPECT_TRUE(Ran);

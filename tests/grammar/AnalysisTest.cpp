@@ -11,16 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 using namespace costar;
 using namespace costar::test;
 
 namespace {
 
-std::set<std::string> names(const Grammar &G,
-                            const std::set<TerminalId> &Ids) {
+std::set<std::string> names(const Grammar &G, const adt::BitMatrix &Rows,
+                            NonterminalId X) {
   std::set<std::string> Out;
-  for (TerminalId T : Ids)
-    Out.insert(G.terminalName(T));
+  Rows.forEachSetBit(X, [&](uint32_t T) { Out.insert(G.terminalName(T)); });
   return Out;
 }
 
@@ -44,9 +46,10 @@ TEST(Analysis, FirstSetsSeeThroughNullablePrefixes) {
                           "A ->\n"
                           "A -> a\n");
   GrammarAnalysis An(G, G.lookupNonterminal("S"));
-  EXPECT_EQ(names(G, An.first(G.lookupNonterminal("S"))),
+  const adt::BitMatrix &First = An.tables().first();
+  EXPECT_EQ(names(G, First, G.lookupNonterminal("S")),
             (std::set<std::string>{"a", "b"}));
-  EXPECT_EQ(names(G, An.first(G.lookupNonterminal("A"))),
+  EXPECT_EQ(names(G, First, G.lookupNonterminal("A")),
             (std::set<std::string>{"a"}));
 }
 
@@ -57,10 +60,11 @@ TEST(Analysis, FollowSetsAndFollowEnd) {
   NonterminalId S = G.lookupNonterminal("S");
   NonterminalId A = G.lookupNonterminal("A");
   GrammarAnalysis An(G, S);
-  EXPECT_EQ(names(G, An.follow(A)), (std::set<std::string>{"b"}));
+  const adt::BitMatrix &Follow = An.tables().follow();
+  EXPECT_EQ(names(G, Follow, A), (std::set<std::string>{"b"}));
   EXPECT_TRUE(An.followEnd(A)) << "A ends S -> c A";
   EXPECT_TRUE(An.followEnd(S)) << "the start symbol may precede end";
-  EXPECT_TRUE(An.follow(S).empty());
+  EXPECT_TRUE(names(G, Follow, S).empty());
 }
 
 TEST(Analysis, FirstOfSeqStopsAtNonNullable) {
@@ -71,8 +75,11 @@ TEST(Analysis, FirstOfSeqStopsAtNonNullable) {
   GrammarAnalysis An(G, G.lookupNonterminal("S"));
   const Production &P = G.production(0);
   bool Nullable = true;
-  auto First = An.firstOfSeq(P.Rhs, Nullable);
-  EXPECT_EQ(names(G, First), (std::set<std::string>{"a", "b"}));
+  adt::BitRow Row(G.numTerminals());
+  An.tables().firstOfSeqInto(P.Rhs, Row, Nullable);
+  std::set<std::string> Got;
+  Row.forEachSetBit([&](uint32_t T) { Got.insert(G.terminalName(T)); });
+  EXPECT_EQ(Got, (std::set<std::string>{"a", "b"}));
   EXPECT_FALSE(Nullable) << "B is not nullable";
 }
 

@@ -213,54 +213,23 @@ TEST(BatchParser, AllocBackendsAgreeUnderThreading) {
   }
 }
 
-TEST(BatchParser, ServicePathMatchesFlatPoolBaseline) {
-  // BatchParser's default engine is the parse-service runtime; the old
-  // flat thread pool is kept exactly for this differential: same corpus,
-  // same thread count, bit-identical results and deterministic aggregates
-  // on both engines.
-  std::mt19937_64 Rng(1212);
-  for (int Trial = 0; Trial < 6; ++Trial) {
-    Grammar G = randomNonLeftRecursiveGrammar(Rng);
-    workload::BatchParser P(G, 0);
-    std::vector<Word> Corpus = sampledCorpus(G, 40, Rng());
-
-    workload::BatchOptions OnService;
-    OnService.Threads = 4;
-    OnService.PublishInterval = 3;
-    OnService.UseService = true;
-    workload::BatchOptions FlatPool = OnService;
-    FlatPool.UseService = false;
-
-    workload::BatchResult RS = P.parseAll(Corpus, OnService);
-    workload::BatchResult RF = P.parseAll(Corpus, FlatPool);
-    expectSameResults(RS, RF);
-    EXPECT_EQ(RS.Aggregate.Consumes, RF.Aggregate.Consumes);
-    EXPECT_EQ(RS.Aggregate.Pushes, RF.Aggregate.Pushes);
-    EXPECT_EQ(RS.Aggregate.Returns, RF.Aggregate.Returns);
-  }
-}
-
-TEST(BatchParser, ServicePathMatchesFlatPoolWithDeadlinesAndPriorities) {
-  // The same differential, but the service side carries what the batch
-  // mapping strips: per-request deadlines (generous — a minute against
-  // microsecond parses, so admission always accepts) and a mixed
-  // Interactive/Batch/BestEffort priority cycle. Deadlines walk the
-  // admission path and priorities feed shedding bookkeeping, but neither
-  // may leak into results — every tree stays bit-identical to the
-  // flat-pool parse.
+TEST(BatchParser, ServicePathMatchesParserWithDeadlinesAndPriorities) {
+  // The service side carries what the batch mapping strips: per-request
+  // deadlines (generous — a minute against microsecond parses, so
+  // admission always accepts) and a mixed Interactive/Batch/BestEffort
+  // priority cycle. Deadlines walk the admission path and priorities feed
+  // shedding bookkeeping, but neither may leak into results — every tree
+  // stays bit-identical to a single-threaded Parser's.
   std::mt19937_64 Rng(1313);
   for (int Trial = 0; Trial < 2; ++Trial) {
     Grammar G = randomNonLeftRecursiveGrammar(Rng);
-    workload::BatchParser P(G, 0);
+    Parser P(G, 0);
     std::vector<Word> Corpus = sampledCorpus(G, 40, Rng());
+    std::vector<ParseResult> Expected;
+    for (const Word &W : Corpus)
+      Expected.push_back(P.parse(W));
 
-    workload::BatchOptions FlatPool;
-    FlatPool.Threads = 4;
-    FlatPool.PublishInterval = 3;
-    FlatPool.UseService = false;
-    workload::BatchResult RF = P.parseAll(Corpus, FlatPool);
-
-    // Batch-parity service config (mirrors BatchParser::runService),
+    // Batch-parity service config (mirrors BatchParser::parseAll),
     // except deadline admission stays on so the deadlines below walk
     // the real feasibility path.
     service::ServiceOptions SO;
@@ -307,9 +276,9 @@ TEST(BatchParser, ServicePathMatchesFlatPoolWithDeadlinesAndPriorities) {
 
     for (size_t I = 0; I < N; ++I) {
       ASSERT_TRUE(Buf[I].has_value()) << "request " << I;
-      ASSERT_EQ(Buf[I]->kind(), RF.Results[I].kind()) << "request " << I;
-      if (RF.Results[I].accepted()) {
-        EXPECT_TRUE(treeEquals(Buf[I]->tree(), RF.Results[I].tree()))
+      ASSERT_EQ(Buf[I]->kind(), Expected[I].kind()) << "request " << I;
+      if (Expected[I].accepted()) {
+        EXPECT_TRUE(treeEquals(Buf[I]->tree(), Expected[I].tree()))
             << "request " << I;
       }
     }
