@@ -92,6 +92,15 @@ GATES = {
         # so the absolute floor carries the claim.
         higher("warmstart/python", "loaded_vs_cold", tolerance=0.80,
                bound=2.0),
+        # Snapshot load throughput, as the share of the load time one
+        # checksum() pass over the same file bytes takes in the same run
+        # (machine speed cancels; a load runs that pass plus the decode).
+        # 19 runs (13 at full scale, 6 at the CI scale 0.25) read
+        # 0.131-0.145 (median 0.138); the committed 0.145 is the highest,
+        # the lowest run is 9.8% under it, and the tolerance is twice
+        # that. The decoder this replaced took 3.5-4.4x as long per load
+        # in alternating full-scale runs.
+        higher("warmstart/python", "load_vs_checksum", tolerance=0.20),
     ],
     "BENCH_cache_backends.json": [
         # The default Hashed backend must win its own cold-path gate: a

@@ -639,10 +639,54 @@ uint32_t SllCache::intern(std::vector<Subparser> Configs) {
       return *Found;
   }
 
-  DfaState St;
-  St.Configs.reserve(Configs.size());
+  std::vector<Subparser> Canonical;
+  Canonical.reserve(Configs.size());
   for (const auto &[Hash, Index] : Order)
-    St.Configs.push_back(std::move(Configs[Index]));
+    Canonical.push_back(std::move(Configs[Index]));
+  return addState(std::move(Canonical), StateHash, std::move(FlatKey));
+}
+
+SllCache::AppendResult
+SllCache::appendCanonical(std::vector<Subparser> Configs) {
+  // The order check and the state key share one pass over the configs.
+  uint64_t StateHash = 0x243F6A8885A308D3ull;
+  std::vector<uint32_t> FlatKey;
+  uint64_t PrevHash = 0;
+  for (size_t I = 0; I < Configs.size(); ++I) {
+    uint64_t Hash = subparserHash(Configs[I]);
+    if (I > 0 && (Hash < PrevHash ||
+                  (Hash == PrevHash &&
+                   compareSubparsers(Configs[I - 1], Configs[I]) >= 0)))
+      return AppendResult::NotCanonical;
+    PrevHash = Hash;
+    if (Backend == CacheBackend::Hashed)
+      StateHash = adt::mix64(StateHash ^ Hash);
+    else
+      serializeSubparser(Configs[I], FlatKey);
+  }
+  bool Known =
+      Backend == CacheBackend::Hashed
+          ? HashIntern.find(StateHash,
+                            [&](uint32_t Id) {
+                              const std::vector<Subparser> &K =
+                                  States[Id].Configs;
+                              return K.size() == Configs.size() &&
+                                     std::equal(K.begin(), K.end(),
+                                                Configs.begin(),
+                                                subparserEquals);
+                            }) != nullptr
+          : AvlIntern.find(FlatKey) != nullptr;
+  if (Known)
+    return AppendResult::Duplicate;
+  addState(std::move(Configs), StateHash, std::move(FlatKey));
+  return AppendResult::Appended;
+}
+
+uint32_t SllCache::addState(std::vector<Subparser> Canonical,
+                            uint64_t StateHash,
+                            std::vector<uint32_t> FlatKey) {
+  DfaState St;
+  St.Configs = std::move(Canonical);
   // A cache that outlives the parse epoch re-anchors the arena-allocated
   // sim stacks on the heap before the state is stored.
   if (adt::Arena *A = EpochLocal ? nullptr : adt::scratchArena())

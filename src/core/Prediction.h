@@ -382,6 +382,13 @@ private:
   /// See setEpochLocal.
   bool EpochLocal = false;
 
+  /// Stores \p Canonical, already in canonical order and known to be new
+  /// under \p StateHash (Hashed) or \p FlatKey (AvlPaperFaithful), as the
+  /// next state: detaches arena stacks, computes the resolution and the
+  /// final predictions, and indexes it. \returns the new id.
+  uint32_t addState(std::vector<Subparser> Canonical, uint64_t StateHash,
+                    std::vector<uint32_t> FlatKey);
+
 public:
   SllCache() = default;
   explicit SllCache(CacheBackend Backend) : Backend(Backend) {}
@@ -396,6 +403,19 @@ public:
   /// returns the existing id when the same config set is already known.
   /// New ids are dense, in insertion order.
   uint32_t intern(std::vector<Subparser> Configs);
+
+  /// Why appendCanonical refused a config list.
+  enum class AppendResult { Appended, NotCanonical, Duplicate };
+
+  /// Appends \p Configs as the next DFA state, trusting nothing about
+  /// them: the list must already be in canonical order with no config
+  /// twice (checked in one linear pass; nothing is re-sorted), and no
+  /// known state may hold the same configs. The resolution and final
+  /// predictions are computed as intern() computes them, so the state
+  /// equals the one intern() would build from the same configs. This is
+  /// the snapshot loader's entry point (src/snapshot/), the same for
+  /// both backends. A refused list leaves the cache unchanged.
+  AppendResult appendCanonical(std::vector<Subparser> Configs);
 
   /// Marks this cache as living inside one arena epoch: it is destroyed
   /// before the arena that built its states is rewound, so intern() keeps

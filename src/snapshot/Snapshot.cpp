@@ -6,15 +6,13 @@
 
 #include "snapshot/Snapshot.h"
 
+#include "adt/ArenaPtr.h"
 #include "adt/HashIndex.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <map>
-#include <unordered_map>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -101,12 +99,99 @@ void putU64(std::vector<uint8_t> &B, uint64_t V) {
   B.insert(B.end(), Tmp, Tmp + 8);
 }
 
-std::vector<uint8_t> wordsToBytes(const std::vector<uint32_t> &W) {
-  std::vector<uint8_t> B(W.size() * 4);
-  if (!W.empty())
-    std::memcpy(B.data(), W.data(), B.size());
-  return B;
-}
+/// One sim-stack node table entry: the node's frame and the 1-based ref
+/// of its tail (0 = stack bottom).
+struct NodeTriple {
+  uint32_t Prod = 0, Pos = 0, TailRef = 0;
+
+  uint64_t hash() const {
+    return adt::mix64(
+        adt::mix64((static_cast<uint64_t>(Prod) << 32) | Pos) ^ TailRef);
+  }
+  bool operator==(const NodeTriple &) const = default;
+};
+
+/// A stack node's address, as buildSllPayload's memo key.
+struct NodeAddr {
+  const SimStackNode *Node = nullptr;
+
+  uint64_t hash() const {
+    return adt::mix64(reinterpret_cast<uintptr_t>(Node));
+  }
+  bool operator==(const NodeAddr &) const = default;
+};
+
+/// buildSllPayload's memos: a linear-probing map from \p KeyT to a node
+/// table ref. Refs are 1-based, so 0 marks an empty slot. Sized for an
+/// expected entry count and kept at most two-thirds full, doubling if the
+/// estimate was short.
+template <typename KeyT> class RefMap {
+  struct Slot {
+    KeyT Key;
+    uint32_t Ref = 0;
+  };
+  std::vector<Slot> Slots;
+  size_t Count = 0;
+
+  size_t home(const KeyT &K) const {
+    return static_cast<size_t>(K.hash()) & (Slots.size() - 1);
+  }
+
+  void grow() {
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(Old.size() * 2, Slot{});
+    for (const Slot &S : Old) {
+      if (!S.Ref)
+        continue;
+      size_t I = home(S.Key);
+      while (Slots[I].Ref)
+        I = (I + 1) & (Slots.size() - 1);
+      Slots[I] = S;
+    }
+  }
+
+public:
+  explicit RefMap(size_t Expected)
+      : Slots(std::bit_ceil(
+            std::max<size_t>(16, Expected + Expected / 2 + 1))) {}
+
+  /// \returns the ref bound to \p K, or 0.
+  uint32_t find(const KeyT &K) const {
+    for (size_t I = home(K);; I = (I + 1) & (Slots.size() - 1)) {
+      const Slot &S = Slots[I];
+      if (!S.Ref || S.Key == K)
+        return S.Ref;
+    }
+  }
+
+  /// Binds \p K, which has no ref yet, to \p Ref.
+  void insert(const KeyT &K, uint32_t Ref) {
+    if ((Count + 1) * 3 > Slots.size() * 2)
+      grow();
+    size_t I = home(K);
+    while (Slots[I].Ref)
+      I = (I + 1) & (Slots.size() - 1);
+    Slots[I] = Slot{K, Ref};
+    ++Count;
+  }
+
+  /// \returns the ref bound to \p K, binding it to \p Ref first if it had
+  /// none.
+  uint32_t findOrInsert(const KeyT &K, uint32_t Ref) {
+    if ((Count + 1) * 3 > Slots.size() * 2)
+      grow();
+    for (size_t I = home(K);; I = (I + 1) & (Slots.size() - 1)) {
+      Slot &S = Slots[I];
+      if (!S.Ref) {
+        S = Slot{K, Ref};
+        ++Count;
+        return Ref;
+      }
+      if (S.Key == K)
+        return S.Ref;
+    }
+  }
+};
 
 /// SLL section payload: backend tag, node/state/start/transition counts,
 /// a hash-consed sim-stack node table — (production, position, tail ref)
@@ -128,32 +213,47 @@ std::vector<uint8_t> wordsToBytes(const std::vector<uint32_t> &W) {
 /// emitted table is canonical: independently trained caches and
 /// save-load-save round trips produce identical bytes.
 std::vector<uint8_t> buildSllPayload(const SllCache &Cache) {
+  size_t NumConfigs = 0;
+  for (uint32_t Id = 0; Id < Cache.numStates(); ++Id)
+    NumConfigs += Cache.state(Id).Configs.size();
+  // Trained caches hold about two stack nodes per config, counted by
+  // pointer or by structure.
+  size_t ExpectedNodes = 2 * NumConfigs;
   std::vector<uint32_t> Nodes;  // (Prod, Pos, TailRef) triples
   std::vector<uint32_t> States; // per state: count, (Pred, StackRef)...
-  std::unordered_map<const SimStackNode *, uint32_t> PtrMemo;
-  std::map<std::array<uint32_t, 3>, uint32_t> StructMemo;
+  Nodes.reserve(3 * ExpectedNodes);
+  States.reserve(Cache.numStates() + 2 * NumConfigs);
+  RefMap<NodeAddr> PtrMemo(ExpectedNodes);
+  RefMap<NodeTriple> StructMemo(ExpectedNodes);
+  std::vector<const SimStackNode *> Chain;
 
   // Returns the 1-based table ref for \p Top's chain, emitting any nodes
   // not yet in the table (bottom-up, so tail refs always point backwards).
+  // Once a node is new to the table, so is every node above it: no entry
+  // has a tail that was only just emitted. Those nodes are inserted
+  // without a lookup, which keeps the walk from waiting on each probe.
   auto EmitStack = [&](const SimStackNode *Top) -> uint32_t {
-    std::vector<const SimStackNode *> Chain;
-    const SimStackNode *N = Top;
-    while (N && !PtrMemo.count(N)) {
+    Chain.clear();
+    uint32_t Ref = 0;
+    for (const SimStackNode *N = Top; N; N = N->Tail.get()) {
+      if ((Ref = PtrMemo.find({N})))
+        break;
       Chain.push_back(N);
-      N = N->Tail.get();
     }
-    uint32_t Ref = N ? PtrMemo.at(N) : 0;
+    bool Fresh = false;
     for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
-      std::array<uint32_t, 3> Key = {(*It)->F.Prod, (*It)->F.Pos, Ref};
-      auto [Slot, Fresh] =
-          StructMemo.emplace(Key, static_cast<uint32_t>(Nodes.size() / 3 + 1));
+      NodeTriple Key{(*It)->F.Prod, (*It)->F.Pos, Ref};
+      uint32_t Next = static_cast<uint32_t>(Nodes.size() / 3 + 1);
       if (Fresh) {
-        Nodes.push_back(Key[0]);
-        Nodes.push_back(Key[1]);
-        Nodes.push_back(Key[2]);
+        StructMemo.insert(Key, Next);
+        Ref = Next;
+      } else {
+        Ref = StructMemo.findOrInsert(Key, Next);
+        Fresh = Ref == Next;
       }
-      Ref = Slot->second;
-      PtrMemo.emplace(*It, Ref);
+      if (Fresh)
+        Nodes.insert(Nodes.end(), {Key.Prod, Key.Pos, Key.TailRef});
+      PtrMemo.insert({*It}, Ref);
     }
     return Ref;
   };
@@ -167,66 +267,77 @@ std::vector<uint8_t> buildSllPayload(const SllCache &Cache) {
     }
   }
 
-  std::vector<std::pair<NonterminalId, uint32_t>> Starts;
+  std::vector<uint32_t> Starts; // (X, Id) pairs
   Cache.forEachStart([&Starts](NonterminalId X, uint32_t Id) {
-    Starts.emplace_back(X, Id);
+    Starts.insert(Starts.end(), {X, Id});
   });
-  std::vector<std::array<uint32_t, 3>> Trans;
+  std::vector<uint32_t> Trans; // (From, T, To) triples
   Cache.forEachTransition([&Trans](uint32_t From, TerminalId T, uint32_t To) {
-    Trans.push_back({From, T, To});
+    Trans.insert(Trans.end(), {From, T, To});
   });
 
-  std::vector<uint32_t> W;
-  W.reserve(6 + Nodes.size() + States.size() + 2 * Starts.size() +
-            3 * Trans.size());
-  W.push_back(backendTag(Cache.backend()));
-  W.push_back(static_cast<uint32_t>(Nodes.size() / 3));
-  W.push_back(static_cast<uint32_t>(Cache.numStates()));
-  W.push_back(static_cast<uint32_t>(Starts.size()));
-  W.push_back(static_cast<uint32_t>(Trans.size()));
-  W.push_back(static_cast<uint32_t>(static_cast<uint64_t>(Trans.size()) >> 32));
-  W.insert(W.end(), Nodes.begin(), Nodes.end());
-  W.insert(W.end(), States.begin(), States.end());
-  for (const auto &[X, Id] : Starts) {
-    W.push_back(X);
-    W.push_back(Id);
+  uint64_t NumTrans = Trans.size() / 3;
+  const uint32_t Prelude[] = {backendTag(Cache.backend()),
+                              static_cast<uint32_t>(Nodes.size() / 3),
+                              static_cast<uint32_t>(Cache.numStates()),
+                              static_cast<uint32_t>(Starts.size() / 2),
+                              static_cast<uint32_t>(NumTrans),
+                              static_cast<uint32_t>(NumTrans >> 32)};
+  std::vector<uint8_t> Payload(4 * (std::size(Prelude) + Nodes.size() +
+                                    States.size() + Starts.size() +
+                                    Trans.size()));
+  uint8_t *Out = Payload.data();
+  for (std::span<const uint32_t> W :
+       {std::span<const uint32_t>(Prelude), std::span<const uint32_t>(Nodes),
+        std::span<const uint32_t>(States), std::span<const uint32_t>(Starts),
+        std::span<const uint32_t>(Trans)}) {
+    if (!W.empty())
+      std::memcpy(Out, W.data(), W.size_bytes());
+    Out += W.size_bytes();
   }
-  for (const auto &[From, T, To] : Trans) {
-    W.push_back(From);
-    W.push_back(T);
-    W.push_back(To);
-  }
-  return wordsToBytes(W);
+  return Payload;
 }
 
 /// Lexer section payload: scanner count, then per scanner the rule ->
 /// terminal map and the serialized minimized Dfa (lexer::serializeDfa).
 std::vector<uint8_t>
 buildLexPayload(std::span<const lexer::Scanner *const> Scanners) {
-  std::vector<uint32_t> W;
-  W.push_back(static_cast<uint32_t>(Scanners.size()));
+  std::vector<uint8_t> B;
+  putU32(B, static_cast<uint32_t>(Scanners.size()));
+  std::vector<uint32_t> D;
   for (const lexer::Scanner *S : Scanners) {
     const std::vector<TerminalId> &RT = S->ruleTerminals();
-    W.push_back(static_cast<uint32_t>(RT.size()));
-    W.insert(W.end(), RT.begin(), RT.end());
-    std::vector<uint32_t> D;
+    putU32(B, static_cast<uint32_t>(RT.size()));
+    for (TerminalId T : RT)
+      putU32(B, T);
+    D.clear();
     lexer::serializeDfa(S->dfa(), D);
-    W.push_back(static_cast<uint32_t>(D.size()));
-    W.insert(W.end(), D.begin(), D.end());
+    putU32(B, static_cast<uint32_t>(D.size()));
+    for (uint32_t W : D)
+      putU32(B, W);
   }
-  return wordsToBytes(W);
+  return B;
+}
+
+/// The builder for \p G's snapshot of \p Cache and \p Scanners.
+SnapshotBuilder makeBuilder(const Grammar &G, const SllCache *Cache,
+                            std::span<const lexer::Scanner *const> Scanners) {
+  SnapshotBuilder Builder(grammarFingerprint(G),
+                          Cache ? backendTag(Cache->backend())
+                                : BackendTagNone);
+  if (Cache)
+    Builder.addSection(SectionSllCache, buildSllPayload(*Cache));
+  if (!Scanners.empty())
+    Builder.addSection(SectionLexers, buildLexPayload(Scanners));
+  return Builder;
 }
 
 } // namespace
 
-std::vector<uint8_t> SnapshotBuilder::finish() const {
+std::vector<uint8_t> SnapshotBuilder::prefix() const {
   size_t IndexOff = HeaderBytes + Sections.size() * SectionEntryBytes;
-  size_t PayloadOff = IndexOff + 8;
-  size_t Total = PayloadOff;
-  for (const Section &S : Sections)
-    Total += S.Payload.size();
   std::vector<uint8_t> B;
-  B.reserve(Total);
+  B.reserve(IndexOff + 8);
   B.resize(sizeof(Magic));
   std::memcpy(B.data(), Magic, sizeof(Magic));
   putU32(B, FormatVersion);
@@ -234,7 +345,7 @@ std::vector<uint8_t> SnapshotBuilder::finish() const {
   putU64(B, GrammarHash);
   putU32(B, BackendTagValue);
   putU32(B, static_cast<uint32_t>(Sections.size()));
-  size_t Off = PayloadOff;
+  size_t Off = IndexOff + 8;
   for (const Section &S : Sections) {
     putU32(B, S.Tag);
     putU32(B, 0);
@@ -246,6 +357,15 @@ std::vector<uint8_t> SnapshotBuilder::finish() const {
   // The index hash seals every byte above it: a flipped bit anywhere in
   // the header or table is caught before any offset in it is trusted.
   putU64(B, checksum({B.data(), IndexOff}));
+  return B;
+}
+
+std::vector<uint8_t> SnapshotBuilder::finish() const {
+  std::vector<uint8_t> B = prefix();
+  size_t Total = B.size();
+  for (const Section &S : Sections)
+    Total += S.Payload.size();
+  B.reserve(Total);
   for (const Section &S : Sections)
     B.insert(B.end(), S.Payload.begin(), S.Payload.end());
   return B;
@@ -254,14 +374,7 @@ std::vector<uint8_t> SnapshotBuilder::finish() const {
 std::vector<uint8_t> costar::snapshot::buildSnapshotBytes(
     const Grammar &G, const SllCache *Cache,
     std::span<const lexer::Scanner *const> Scanners) {
-  SnapshotBuilder Builder(grammarFingerprint(G),
-                          Cache ? backendTag(Cache->backend())
-                                : BackendTagNone);
-  if (Cache)
-    Builder.addSection(SectionSllCache, buildSllPayload(*Cache));
-  if (!Scanners.empty())
-    Builder.addSection(SectionLexers, buildLexPayload(Scanners));
-  return Builder.finish();
+  return makeBuilder(G, Cache, Scanners).finish();
 }
 
 //===----------------------------------------------------------------------===//
@@ -289,62 +402,98 @@ uint64_t readU64(std::span<const uint8_t> B, size_t Off) {
   return V;
 }
 
-/// Bounds-checked cursor over a section payload reinterpreted as u32
-/// words. Every read is guarded; a short payload surfaces as a decode
-/// failure, never an out-of-bounds read.
+/// Bounds-checked cursor over a section payload read as u32 words, in
+/// place: the payload is never copied. Every cursor read is guarded; a
+/// short payload surfaces as a decode failure, never an out-of-bounds
+/// read.
 class WordReader {
-  std::vector<uint32_t> Words;
+  std::span<const uint8_t> Bytes;
   size_t I = 0;
 
 public:
-  explicit WordReader(std::span<const uint8_t> Payload) {
-    Words.resize(Payload.size() / 4);
-    if (!Words.empty())
-      std::memcpy(Words.data(), Payload.data(), Words.size() * 4);
+  explicit WordReader(std::span<const uint8_t> Payload) : Bytes(Payload) {}
+
+  size_t size() const { return Bytes.size() / 4; }
+  size_t position() const { return I; }
+  size_t remaining() const { return size() - I; }
+  bool done() const { return I == size(); }
+
+  /// Word \p J of the payload, unguarded: the caller checked J < size().
+  uint32_t at(size_t J) const {
+    uint32_t V;
+    std::memcpy(&V, Bytes.data() + 4 * J, 4);
+    return V;
   }
 
-  size_t remaining() const { return Words.size() - I; }
-  bool done() const { return I == Words.size(); }
+  /// Moves the cursor \p N words on; the caller checked N <= remaining().
+  void skip(size_t N) { I += N; }
 
   bool u32(uint32_t &Out) {
-    if (I >= Words.size())
+    if (I >= size())
       return false;
-    Out = Words[I++];
+    Out = at(I++);
     return true;
   }
 };
 
-/// The (Prod, Pos, TailRef) triples of the node table read so far, for
-/// decodeSll's duplicate-entry check: linear probing over a table sized
-/// once from the section's node count, at most two-thirds full, so a load
-/// never rehashes. Prod is validated before insert, so UINT32_MAX (never a
-/// production id) marks an empty slot.
-class NodeTripleSet {
-  struct Slot {
-    uint32_t Prod = UINT32_MAX, Pos = 0, TailRef = 0;
-  };
-  std::vector<Slot> Slots;
-
-public:
-  explicit NodeTripleSet(uint32_t NumNodes)
-      : Slots(std::bit_ceil(std::max<uint64_t>(
-            16, uint64_t(NumNodes) + NumNodes / 2 + 1))) {}
-
-  /// \returns false if the triple was already inserted.
-  bool insert(uint32_t Prod, uint32_t Pos, uint32_t TailRef) {
-    uint64_t Hash = adt::mix64(
-        adt::mix64((static_cast<uint64_t>(Prod) << 32) | Pos) ^ TailRef);
-    for (size_t I = Hash & (Slots.size() - 1);;
-         I = (I + 1) & (Slots.size() - 1)) {
-      Slot &S = Slots[I];
-      if (S.Prod == UINT32_MAX) {
-        S = Slot{Prod, Pos, TailRef};
-        return true;
-      }
-      if (S.Prod == Prod && S.Pos == Pos && S.TailRef == TailRef)
-        return false;
+/// Whether two of the \p NumNodes node table entries \p Entry reads are
+/// equal. A table sized to the whole file would cost a cache miss per
+/// entry, so the entries are first partitioned by the top bits of their
+/// hash into buckets of about 256 (equal entries share a bucket): one
+/// pass counts the buckets, one scatters the entries into them. Each
+/// bucket is then checked with a small linear-probing table that stays
+/// in cache.
+template <typename EntryFn>
+bool hasDuplicateEntry(uint32_t NumNodes, EntryFn Entry) {
+  unsigned Bits = std::max(1u, unsigned(std::bit_width(NumNodes / 256u)));
+  unsigned Shift = 64 - Bits;
+  size_t NumBuckets = size_t(1) << Bits;
+  std::vector<uint32_t> Start(NumBuckets + 1, 0);
+  for (uint32_t I = 0; I < NumNodes; ++I)
+    ++Start[(Entry(I).hash() >> Shift) + 1];
+  for (size_t B = 0; B < NumBuckets; ++B)
+    Start[B + 1] += Start[B];
+  // Entries bucket by bucket: their hashes, and their indices.
+  std::vector<uint64_t> Hashes(NumNodes);
+  std::vector<uint32_t> Index(NumNodes);
+  {
+    std::vector<uint32_t> Next(Start.begin(), Start.end() - 1);
+    for (uint32_t I = 0; I < NumNodes; ++I) {
+      uint64_t H = Entry(I).hash();
+      uint32_t &N = Next[H >> Shift];
+      Hashes[N] = H;
+      Index[N++] = I;
     }
   }
+  // Slots hold a 1-based position in Hashes; 0 is empty.
+  std::vector<uint32_t> Table;
+  for (size_t B = 0; B < NumBuckets; ++B) {
+    uint32_t Lo = Start[B], Hi = Start[B + 1];
+    size_t Mask = std::bit_ceil(std::max<size_t>(4, 2 * size_t(Hi - Lo))) - 1;
+    Table.assign(Mask + 1, 0);
+    for (uint32_t K = Lo; K < Hi; ++K)
+      for (size_t S = Hashes[K] & Mask;; S = (S + 1) & Mask) {
+        uint32_t Other = Table[S];
+        if (!Other) {
+          Table[S] = K + 1;
+          break;
+        }
+        if (Hashes[Other - 1] == Hashes[K] &&
+            Entry(Index[Other - 1]) == Entry(Index[K]))
+          return true;
+      }
+  }
+  return false;
+}
+
+/// What decodeSll knows of a validated node table entry: the symbol at
+/// its position (a nonterminal id, or TerminalHead), its chain depth, and
+/// whether a config or a later entry stacks on it.
+struct NodeInfo {
+  static constexpr uint32_t TerminalHead = UINT32_MAX;
+  uint32_t Head = TerminalHead;
+  uint32_t Depth : 31 = 0;
+  uint32_t Referenced : 1 = 0;
 };
 
 /// Rebuilds the SLL cache from its section payload. On any malformed
@@ -353,7 +502,15 @@ public:
 /// enforced here — stable configs carry a terminal at the top frame's
 /// head and open nonterminals below it — because the simulator's closure
 /// relies on them without rechecking (a hostile payload must not be able
-/// to smuggle an ill-formed stack past intern()).
+/// to smuggle an ill-formed stack into a cache).
+///
+/// A load is a few linear passes over the payload words. Every check reads
+/// the words themselves and a small per-entry NodeInfo, never a built
+/// node. All nodes are built into one block, the layout
+/// detachConfigs (core/Prediction.cpp) gives detached states: a tail
+/// inside the block is a non-owning alias, and each config holds an owning
+/// aliased handle to its top node, so the configs keep the block alive and
+/// freeing it is a flat loop.
 bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
                uint32_t HeaderTag, std::shared_ptr<SllCache> &Out,
                std::string &Detail) {
@@ -386,60 +543,60 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
   // strictly backwards, so the table is acyclic by construction; each
   // node is validated against the closure invariants cached configs rely
   // on (below-top frames open the nonterminal the frame above them is
-  // parsing). The depth cap bounds teardown recursion: releasing a chain
-  // of N shared nodes unwinds N destructor frames, so an unbounded chain
-  // in a hostile file would be a stack-overflow bomb.
-  std::vector<SimStackPtr> Nodes;
-  std::vector<uint32_t> Depths, TailRefs;
-  NodeTripleSet SeenNodes(NumNodes);
-  Nodes.reserve(NumNodes);
-  Depths.reserve(NumNodes);
-  TailRefs.reserve(NumNodes);
+  // parsing), and chains are capped at MaxSimStackDepth.
+  const size_t NodeBase = R.position();
+  auto Entry = [&](size_t I) {
+    return NodeTriple{R.at(NodeBase + 3 * I), R.at(NodeBase + 3 * I + 1),
+                      R.at(NodeBase + 3 * I + 2)};
+  };
+  R.skip(3 * size_t(NumNodes));
+  std::vector<NodeInfo> Info(NumNodes);
+  auto Block = std::make_shared<std::vector<SimStackNode>>();
+  Block->reserve(NumNodes);
   for (uint32_t I = 0; I < NumNodes; ++I) {
-    uint32_t Prod, Pos, TailRef;
-    if (!R.u32(Prod) || !R.u32(Pos) || !R.u32(TailRef)) {
-      Detail = "truncated sim-stack node table";
-      return false;
-    }
-    if (Prod >= G.numProductions()) {
+    NodeTriple E = Entry(I);
+    if (E.Prod >= G.numProductions()) {
       Detail = "sim-stack node production out of range";
       return false;
     }
-    const std::vector<Symbol> &Rhs = G.production(Prod).Rhs;
-    if (Pos >= Rhs.size()) {
+    const Production &Prod = G.production(E.Prod);
+    if (E.Pos >= Prod.Rhs.size()) {
       Detail = "sim-stack node position past its right-hand side";
       return false;
     }
-    if (TailRef > I) {
+    if (E.TailRef > I) {
       Detail = "sim-stack node tail ref does not point backwards";
       return false;
     }
-    if (!SeenNodes.insert(Prod, Pos, TailRef)) {
-      Detail = "duplicate sim-stack node entry";
-      return false;
-    }
-    if (TailRef != 0) {
+    uint32_t Depth = 1;
+    if (E.TailRef != 0) {
       // The node below this one must be parked on the nonterminal this
       // node's production expands (the simulated-call invariant).
-      const SimStackPtr &Tail = Nodes[TailRef - 1];
-      Symbol TailHead = (*Tail->F.Syms)[Tail->F.Pos];
-      if (TailHead.isTerminal() ||
-          TailHead.nonterminalId() != G.production(Prod).Lhs) {
+      NodeInfo &Tail = Info[E.TailRef - 1];
+      if (Tail.Head != Prod.Lhs) {
         Detail = "sim-stack node tail head violates stack invariants";
         return false;
       }
-      if (Depths[TailRef - 1] >= MaxSimStackDepth) {
+      if (Tail.Depth >= MaxSimStackDepth) {
         Detail = "sim-stack chain exceeds the format depth limit";
         return false;
       }
+      Tail.Referenced = 1;
+      Depth = Tail.Depth + 1;
     }
-    Depths.push_back(TailRef ? Depths[TailRef - 1] + 1 : 1);
-    TailRefs.push_back(TailRef);
-    Nodes.push_back(makeSimStack(SimFrame{Prod, &Rhs, Pos},
-                                 TailRef ? Nodes[TailRef - 1]
-                                         : SimStackPtr()));
+    Symbol Head = Prod.Rhs[E.Pos];
+    Info[I].Head =
+        Head.isTerminal() ? NodeInfo::TerminalHead : Head.nonterminalId();
+    Info[I].Depth = Depth;
+    Block->emplace_back(SimFrame{E.Prod, &Prod.Rhs, E.Pos},
+                        E.TailRef ? adt::arenaRef(&(*Block)[E.TailRef - 1])
+                                  : SimStackPtr());
   }
-  std::vector<bool> Referenced(NumNodes, false);
+
+  if (hasDuplicateEntry(NumNodes, Entry)) {
+    Detail = "duplicate sim-stack node entry";
+    return false;
+  }
 
   CacheBackend Backend = Tag == BackendTagAvl ? CacheBackend::AvlPaperFaithful
                                               : CacheBackend::Hashed;
@@ -450,14 +607,11 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
       Detail = "truncated DFA state";
       return false;
     }
-    std::vector<Subparser> Configs, Stored;
+    std::vector<Subparser> Configs;
     Configs.reserve(NumConfigs);
     for (uint32_t C = 0; C < NumConfigs; ++C) {
-      uint32_t Pred, StackRef;
-      if (!R.u32(Pred) || !R.u32(StackRef)) {
-        Detail = "truncated DFA config";
-        return false;
-      }
+      size_t At = R.position() + 2 * C;
+      uint32_t Pred = R.at(At), StackRef = R.at(At + 1);
       if (Pred >= G.numProductions()) {
         Detail = "config prediction is not a production of the grammar";
         return false;
@@ -468,46 +622,44 @@ bool decodeSll(std::span<const uint8_t> Payload, const Grammar &G,
       }
       SimStackPtr Stack;
       if (StackRef != 0) {
-        Stack = Nodes[StackRef - 1];
         // A stable config's top frame is parked on a terminal (final
         // configs have no stack at all).
-        if (!(*Stack->F.Syms)[Stack->F.Pos].isTerminal()) {
+        NodeInfo &Top = Info[StackRef - 1];
+        if (Top.Head != NodeInfo::TerminalHead) {
           Detail = "config stack top is not parked on a terminal";
           return false;
         }
-        Referenced[StackRef - 1] = true;
+        Top.Referenced = 1;
+        Stack = SimStackPtr(Block, &(*Block)[StackRef - 1]);
       }
       Configs.push_back(Subparser{Pred, std::move(Stack)});
     }
-    // Re-intern the config list and demand the stored id back:
-    // resolutions and final-prediction sets are recomputed on exactly the
-    // path live training uses, so a snapshot-loaded state can never
-    // differ from its live-trained twin. intern() sorts silently, so the
-    // stored list must also already be the state's canonical list —
-    // same order, no config twice — or save(load(x)) would differ from x.
-    Stored = Configs;
-    uint32_t Got = Cache->intern(std::move(Configs));
-    if (Got != Sid) {
-      Detail = "re-interning does not reproduce the stored state id";
+    R.skip(2 * size_t(NumConfigs));
+    // The stored list must already be its state's canonical list — same
+    // order, no config twice — or save(load(x)) would differ from x, and
+    // no earlier state may hold the same configs. appendCanonical checks
+    // both and recomputes resolutions and final-prediction sets exactly
+    // as intern() does, so a snapshot-loaded state never differs from
+    // its live-trained twin.
+    switch (Cache->appendCanonical(std::move(Configs))) {
+    case SllCache::AppendResult::Appended:
+      break;
+    case SllCache::AppendResult::NotCanonical:
+      Detail = "DFA state configs are not in canonical order";
+      return false;
+    case SllCache::AppendResult::Duplicate:
+      Detail = "DFA state repeats an earlier state";
       return false;
     }
-    const std::vector<Subparser> &Canonical = Cache->state(Sid).Configs;
-    for (size_t C = 0; C < Stored.size(); ++C)
-      if (!subparserEquals(Stored[C], Canonical[C]) ||
-          (C > 0 && subparserEquals(Stored[C - 1], Stored[C]))) {
-        Detail = "DFA state configs are not in canonical order";
-        return false;
-      }
   }
   // Every table node must be reachable from some config's stack:
   // orphaned entries would make save(load(x)) differ from x, breaking
-  // the byte-idempotency committed artifacts rely on. Reachability
-  // propagates backwards since tail refs only point at earlier entries.
-  for (uint32_t I = NumNodes; I > 0; --I)
-    if (Referenced[I - 1] && TailRefs[I - 1] != 0)
-      Referenced[TailRefs[I - 1] - 1] = true;
-  for (uint32_t I = 0; I < NumNodes; ++I)
-    if (!Referenced[I]) {
+  // the byte-idempotency committed artifacts rely on. Tail refs point
+  // strictly backwards, so the last entry stacked on by nothing is
+  // unreachable, and an entry that is a config's top or some entry's
+  // tail is reachable exactly when every entry is.
+  for (const NodeInfo &N : Info)
+    if (!N.Referenced) {
       Detail = "unreferenced sim-stack node entry";
       return false;
     }
@@ -744,7 +896,7 @@ LoadResult costar::snapshot::parseSnapshotBytes(
 std::optional<SnapshotError> costar::snapshot::saveSnapshot(
     const std::string &Path, const Grammar &G, const SllCache *Cache,
     std::span<const lexer::Scanner *const> Scanners) {
-  std::vector<uint8_t> Bytes = buildSnapshotBytes(G, Cache, Scanners);
+  SnapshotBuilder Builder = makeBuilder(G, Cache, Scanners);
   // Same-directory temporary + rename: a loader racing the writer sees
   // either the old complete file or the new complete file, never a torn
   // prefix that would cost it a Truncated error and a cold start.
@@ -753,8 +905,11 @@ std::optional<SnapshotError> costar::snapshot::saveSnapshot(
   if (!F)
     return SnapshotError{SnapshotErrorKind::IoError,
                          "cannot open '" + Tmp + "' for writing", 0};
-  bool Ok = Bytes.empty() ||
-            std::fwrite(Bytes.data(), 1, Bytes.size(), F) == Bytes.size();
+  bool Ok = true;
+  Builder.forEachPiece([&](std::span<const uint8_t> Piece) {
+    Ok = Ok && (Piece.empty() ||
+                std::fwrite(Piece.data(), 1, Piece.size(), F) == Piece.size());
+  });
   Ok = std::fclose(F) == 0 && Ok;
   if (!Ok || std::rename(Tmp.c_str(), Path.c_str()) != 0) {
     std::remove(Tmp.c_str());

@@ -48,11 +48,14 @@
 /// that makes config comparisons short-circuit after load) plus each DFA
 /// state's config list as (prediction, node ref) pairs in canonical
 /// order (ascending subparser hash, ties broken structurally; see
-/// compareSubparsers in core/Prediction.h) — resolutions, unique
-/// predictions, and final-prediction sets are recomputed by
-/// SllCache::intern on load, and load verifies that re-interning
-/// reproduces the stored state ids exactly and that each stored list
-/// already is its state's canonical list. The lexer
+/// compareSubparsers in core/Prediction.h). Resolutions, unique
+/// predictions, and final-prediction sets are recomputed on load by
+/// SllCache::appendCanonical exactly as SllCache::intern computes them.
+/// Load checks in one linear pass per state that each stored list already
+/// is its state's canonical list (strictly ascending, so no config twice)
+/// and that no state repeats an earlier one, so every state keeps the id
+/// interning would give it; nothing is re-sorted or re-interned. All
+/// loaded stack nodes live in one block (see decodeSll). The lexer
 /// section stores the minimized Dfa and per-rule terminal ids — the
 /// ScanTable is a pure function of the Dfa and is recompiled
 /// (lexer::serializeDfa), which also keeps snapshots portable across
@@ -105,11 +108,12 @@ inline constexpr size_t SectionEntryBytes = 32;
 /// anything near this limit is a corrupted header, and bounding it keeps
 /// the table extent computation overflow-free.
 inline constexpr uint32_t MaxSections = 16;
-/// Deepest sim-stack chain a snapshot may encode. Releasing a chain of N
-/// shared nodes unwinds N destructor frames, so an unbounded chain in a
-/// hostile (checksum-valid) file would be a stack-overflow bomb at cache
-/// teardown; 64k frames stay well inside any default thread stack while
-/// exceeding every stack depth SLL prediction reaches in practice.
+/// Deepest sim-stack chain a snapshot may encode. Loaded nodes share one
+/// block whose internal tails do not own their targets, so freeing a
+/// loaded cache no longer recurses down its chains; the limit stays as a
+/// format bound. 64k frames exceed every stack depth SLL prediction
+/// reaches in practice, so a deeper chain only comes from a corrupt or
+/// hostile (checksum-valid) file.
 inline constexpr uint32_t MaxSimStackDepth = 1u << 16;
 
 /// The rolling checksum used for the index hash and every section:
@@ -141,12 +145,26 @@ class SnapshotBuilder {
   };
   std::vector<Section> Sections;
 
+  /// The bytes in front of the first payload: header, section table and
+  /// index hash.
+  std::vector<uint8_t> prefix() const;
+
 public:
   SnapshotBuilder(uint64_t GrammarHash, uint32_t BackendTag)
       : GrammarHash(GrammarHash), BackendTagValue(BackendTag) {}
 
   void addSection(uint32_t Tag, std::vector<uint8_t> Payload) {
     Sections.push_back(Section{Tag, std::move(Payload)});
+  }
+
+  /// Calls \p Fn with each piece of the file image in file order — the
+  /// prefix, then every payload — so a writer can stream the image
+  /// without assembling it.
+  template <typename FnT> void forEachPiece(FnT Fn) const {
+    std::vector<uint8_t> Prefix = prefix();
+    Fn(std::span<const uint8_t>(Prefix));
+    for (const Section &S : Sections)
+      Fn(std::span<const uint8_t>(S.Payload));
   }
 
   /// The complete file image.

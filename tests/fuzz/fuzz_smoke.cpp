@@ -11,7 +11,10 @@
 /// The same seeded bytes — plus mutated copies of a genuine warm-start
 /// snapshot — are also fed through the snapshot loader as hostile files,
 /// and byte-smashed outputs of the Verilog workload generator run the
-/// lex + parse + semantic-lint pipeline end to end.
+/// lex + parse + semantic-lint pipeline end to end. Byte smashes of a
+/// checksummed file mostly die at a checksum; a second snapshot leg
+/// edits the words of the SLL payload and re-seals them with
+/// SnapshotBuilder, so every such load runs the payload validators.
 /// Every outcome (accept, reject, lex error, budget exceeded, structured
 /// snapshot error) is legal; the only failures are crashes, sanitizer
 /// reports, or a hung parse — which is exactly what the CI job
@@ -34,9 +37,11 @@
 #include "snapshot/Snapshot.h"
 #include "workload/Generators.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -72,6 +77,93 @@ std::string randomInput(uint64_t &Rng) {
   }
   return S;
 }
+
+/// The SLL section payload of a snapshot image built by
+/// buildSnapshotBytes (header and section table already trusted).
+std::vector<uint32_t> sllPayloadWords(const std::vector<uint8_t> &File) {
+  auto Read = [&](size_t Off, auto &V) {
+    std::memcpy(&V, File.data() + Off, sizeof(V));
+  };
+  uint32_t Count;
+  Read(28, Count);
+  for (uint32_t S = 0; S < Count; ++S) {
+    size_t Entry = snapshot::HeaderBytes + S * snapshot::SectionEntryBytes;
+    uint32_t Tag;
+    uint64_t Off, Size;
+    Read(Entry, Tag);
+    Read(Entry + 8, Off);
+    Read(Entry + 16, Size);
+    if (Tag != snapshot::SectionSllCache)
+      continue;
+    std::vector<uint32_t> Words(Size / 4);
+    std::memcpy(Words.data(), File.data() + Off, Words.size() * 4);
+    return Words;
+  }
+  return {};
+}
+
+/// Applies 1-4 seeded edits to \p W, each shaped like a plausible
+/// corruption of a word table: a small value (a ref, a position, a
+/// count), an off-by-one, a copy of another word, a swap of two words, or
+/// a few words cut from or added to the end.
+void mutateWords(std::vector<uint32_t> &W, uint64_t &Rng) {
+  uint64_t NumEdits = 1 + splitmix64(Rng) % 4;
+  for (uint64_t E = 0; E < NumEdits && !W.empty(); ++E) {
+    uint64_t R = splitmix64(Rng);
+    size_t I = (R >> 8) % W.size();
+    size_t J = (R >> 36) % W.size();
+    switch (R % 6) {
+    case 0:
+      W[I] = static_cast<uint32_t>((R >> 40) % 64);
+      break;
+    case 1:
+      W[I] += (R >> 40) & 1 ? 1 : UINT32_MAX;
+      break;
+    case 2:
+      W[I] = W[J];
+      break;
+    case 3:
+      std::swap(W[I], W[J]);
+      break;
+    case 4:
+      W.resize(W.size() - std::min<size_t>(W.size(), 1 + (R >> 40) % 4));
+      break;
+    default:
+      W.insert(W.end(), 1 + (R >> 40) % 4, static_cast<uint32_t>(R >> 48));
+      break;
+    }
+  }
+}
+
+/// One snapshot leg's tally: loads, loads that reached a payload decoder
+/// (accepted, or refused as Malformed at a payload offset: header-level
+/// Malformed errors point in front of every payload), and accepted loads.
+struct SnapshotLeg {
+  uint64_t Loads = 0, Decoded = 0, Accepted = 0;
+
+  void count(const snapshot::LoadResult &R, std::span<const uint8_t> File) {
+    ++Loads;
+    if (R.ok()) {
+      ++Decoded;
+      ++Accepted;
+      return;
+    }
+    if (R.Err->Kind != robust::SnapshotErrorKind::Malformed ||
+        File.size() < snapshot::HeaderBytes)
+      return;
+    uint32_t Count;
+    std::memcpy(&Count, File.data() + 28, 4);
+    if (R.Err->Offset >=
+        snapshot::HeaderBytes + uint64_t(Count) * snapshot::SectionEntryBytes +
+            8)
+      ++Decoded;
+  }
+
+  std::string str() const {
+    return std::to_string(Loads) + " (" + std::to_string(Decoded) +
+           " decoded, " + std::to_string(Accepted) + " accepted)";
+  }
+};
 
 bool writeArtifact(const char *Path, const std::string &Bytes,
                    uint64_t Seed) {
@@ -123,12 +215,15 @@ int main() {
     ValidSnapshot = snapshot::buildSnapshotBytes(
         Json.G, &Trainer.sharedCache(), Scanners);
   }
+  const std::vector<uint32_t> ValidSll = sllPayloadWords(ValidSnapshot);
+  const uint64_t JsonFingerprint = snapshot::grammarFingerprint(Json.G);
 
   auto End = std::chrono::steady_clock::now() +
              std::chrono::duration<double>(Seconds);
   uint64_t Rng = BaseSeed;
   uint64_t Iterations = 0, Lexed = 0, Parsed = 0, Budgeted_ = 0;
-  uint64_t SnapLoads = 0, SnapRejects = 0, Linted = 0;
+  uint64_t Linted = 0;
+  SnapshotLeg RawLeg, SmashLeg, WordLeg;
 
   while (std::chrono::steady_clock::now() < End) {
     ++Iterations;
@@ -151,16 +246,16 @@ int main() {
         ++Parsed;
     }
 
-    // Hostile snapshot loads: the raw fuzz bytes as a "file", and a
-    // mutated copy of the valid snapshot (seeded byte smashes plus an
-    // occasional truncation) to reach the payload validators. A load
-    // either succeeds or returns a structured error; anything else is a
-    // crash the sanitizers will flag.
+    // Hostile snapshot loads: the raw fuzz bytes as a "file"; a mutated
+    // copy of the valid snapshot (seeded byte smashes plus an occasional
+    // truncation), which the checksums mostly stop; and the valid SLL
+    // payload with edited words, re-sealed so that every load runs the
+    // payload validators. A load either succeeds or returns a structured
+    // error; anything else is a crash the sanitizers will flag.
     {
       std::span<const uint8_t> Raw(
           reinterpret_cast<const uint8_t *>(Input.data()), Input.size());
-      snapshot::LoadResult R1 = snapshot::parseSnapshotBytes(Raw, Json.G);
-      SnapRejects += R1.ok() ? 0 : 1;
+      RawLeg.count(snapshot::parseSnapshotBytes(Raw, Json.G), Raw);
 
       std::vector<uint8_t> Mutated = ValidSnapshot;
       uint64_t NumEdits = 1 + splitmix64(Rng) % 8;
@@ -170,10 +265,24 @@ int main() {
       }
       if (splitmix64(Rng) % 4 == 0 && !Mutated.empty())
         Mutated.resize(splitmix64(Rng) % Mutated.size());
-      snapshot::LoadResult R2 =
-          snapshot::parseSnapshotBytes(Mutated, Json.G);
-      SnapRejects += R2.ok() ? 0 : 1;
-      SnapLoads += 2;
+      SmashLeg.count(snapshot::parseSnapshotBytes(Mutated, Json.G), Mutated);
+
+      std::vector<uint32_t> Words = ValidSll;
+      mutateWords(Words, Rng);
+      std::vector<uint8_t> Payload(Words.size() * 4);
+      if (!Words.empty())
+        std::memcpy(Payload.data(), Words.data(), Payload.size());
+      snapshot::SnapshotBuilder Builder(JsonFingerprint,
+                                        snapshot::BackendTagHashed);
+      Builder.addSection(snapshot::SectionSllCache, std::move(Payload));
+      std::vector<uint8_t> Sealed = Builder.finish();
+      if (!writeArtifact(Artifact,
+                         std::string(Sealed.begin(), Sealed.end()),
+                         BaseSeed)) {
+        std::fprintf(stderr, "cannot write artifact %s\n", Artifact);
+        return 2;
+      }
+      WordLeg.count(snapshot::parseSnapshotBytes(Sealed, Json.G), Sealed);
     }
 
     // Verilog leg: a generated module corpus with seeded byte smashes,
@@ -214,14 +323,13 @@ int main() {
 
   std::remove(Artifact);
   std::printf("fuzz smoke: %llu inputs, %llu lexed, %llu parsed, "
-              "%llu budget-exceeded, %llu snapshot loads "
-              "(%llu rejected), %llu linted, 0 crashes\n",
+              "%llu budget-exceeded, snapshot loads: raw %s, "
+              "byte-smashed %s, word-edited %s; %llu linted, 0 crashes\n",
               static_cast<unsigned long long>(Iterations),
               static_cast<unsigned long long>(Lexed),
               static_cast<unsigned long long>(Parsed),
               static_cast<unsigned long long>(Budgeted_),
-              static_cast<unsigned long long>(SnapLoads),
-              static_cast<unsigned long long>(SnapRejects),
-              static_cast<unsigned long long>(Linted));
+              RawLeg.str().c_str(), SmashLeg.str().c_str(),
+              WordLeg.str().c_str(), static_cast<unsigned long long>(Linted));
   return 0;
 }

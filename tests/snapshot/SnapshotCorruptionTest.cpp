@@ -580,3 +580,141 @@ TEST(SnapshotCorruption, SaveLoadRoundTripThroughRealFiles) {
   EXPECT_EQ(Bad.Contents.Cache, nullptr);
   std::remove(Path.c_str());
 }
+
+namespace {
+
+/// A checksum-valid Hashed snapshot of \p G whose SLL payload is \p Words.
+std::vector<uint8_t> sllFile(const Grammar &G,
+                             const std::vector<uint32_t> &Words) {
+  std::vector<uint8_t> Payload;
+  for (uint32_t W : Words)
+    w32(Payload, W);
+  snapshot::SnapshotBuilder B(snapshot::grammarFingerprint(G),
+                              snapshot::BackendTagHashed);
+  B.addSection(snapshot::SectionSllCache, std::move(Payload));
+  return B.finish();
+}
+
+/// Loads \p Good, which must succeed, then \p Bad, which must fail as
+/// Malformed with a detail naming \p Check: each case differs from a
+/// loadable payload in exactly the field its check guards.
+void expectOnlyCheckRejects(const Grammar &G, const std::vector<uint32_t> &Good,
+                            const std::vector<uint32_t> &Bad,
+                            const std::string &Check) {
+  snapshot::LoadResult Ok = snapshot::parseSnapshotBytes(sllFile(G, Good), G);
+  EXPECT_TRUE(Ok.ok()) << Check << ": control payload rejected: "
+                       << (Ok.Err ? Ok.Err->toString() : "");
+  snapshot::LoadResult R = snapshot::parseSnapshotBytes(sllFile(G, Bad), G);
+  ASSERT_FALSE(R.ok()) << Check;
+  EXPECT_EQ(R.Err->Kind, SnapshotErrorKind::Malformed) << Check;
+  EXPECT_NE(R.Err->Detail.find(Check), std::string::npos)
+      << "expected '" << Check << "', got '" << R.Err->Detail << "'";
+  EXPECT_EQ(R.Contents.Cache, nullptr) << Check;
+}
+
+} // namespace
+
+// Figure 2's productions, in declaration order: 0 S -> A c, 1 S -> A d,
+// 2 A -> a A, 3 A -> b. Payloads below are the prelude (tag, nodes,
+// states, starts, transLo, transHi), then (prod, pos, tail) node triples,
+// then per state a config count and (prediction, stack ref) pairs, then
+// (nonterminal, state) starts and (from, terminal, to) transitions.
+
+TEST(SnapshotCorruption, DuplicateNodeEntryIsRejected) {
+  Grammar G = figure2Grammar();
+  const uint32_t H = snapshot::BackendTagHashed;
+  // One node (S -> A . c) under one single-config state; the bad payload
+  // stores the same triple twice.
+  expectOnlyCheckRejects(G, {H, 1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1},
+                         {H, 2, 1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 1},
+                         "duplicate sim-stack node entry");
+}
+
+TEST(SnapshotCorruption, TailHeadBreakingTheStackInvariantIsRejected) {
+  Grammar G = figure2Grammar();
+  const uint32_t H = snapshot::BackendTagHashed;
+  ASSERT_EQ(G.production(3).Lhs, G.lookupNonterminal("A"));
+  // A -> . b stacked on S -> . A c: the tail is parked on A, the
+  // nonterminal the top frame expands. Stacked on S -> A . c instead, the
+  // tail is parked on the terminal c.
+  expectOnlyCheckRejects(G, {H, 2, 1, 0, 0, 0, 0, 0, 0, 3, 0, 1, 1, 0, 2},
+                         {H, 2, 1, 0, 0, 0, 0, 1, 0, 3, 0, 1, 1, 0, 2},
+                         "tail head violates stack invariants");
+}
+
+TEST(SnapshotCorruption, ChainDeeperThanTheFormatLimitIsRejected) {
+  // S -> S a | b stacks on itself: (0, 0) frames parked on S, topped by a
+  // (0, 1) frame parked on a. A chain of exactly MaxSimStackDepth nodes
+  // loads; one node more is refused.
+  Grammar G = makeGrammar("S -> S a\nS -> b\n");
+  const uint32_t H = snapshot::BackendTagHashed;
+  auto Chain = [&](uint32_t Depth) {
+    std::vector<uint32_t> W = {H, Depth, 1, 0, 0, 0};
+    for (uint32_t I = 0; I + 1 < Depth; ++I)
+      W.insert(W.end(), {0, 0, I});
+    W.insert(W.end(), {0, 1, Depth - 1, /*NumConfigs=*/1, 0, Depth});
+    return W;
+  };
+  expectOnlyCheckRejects(G, Chain(snapshot::MaxSimStackDepth),
+                         Chain(snapshot::MaxSimStackDepth + 1),
+                         "exceeds the format depth limit");
+}
+
+TEST(SnapshotCorruption, StartTableOutOfOrderIsRejected) {
+  Grammar G = figure2Grammar();
+  const uint32_t H = snapshot::BackendTagHashed;
+  ASSERT_GE(G.numNonterminals(), 2u);
+  // One empty state bound as the start state of both nonterminals.
+  const std::vector<uint32_t> Good = {H, 0, 1, 2, 0, 0, 0, 0, 0, 1, 0};
+  expectOnlyCheckRejects(G, Good, {H, 0, 1, 2, 0, 0, 0, 1, 0, 0, 0},
+                         "start-state table not strictly ascending");
+  expectOnlyCheckRejects(G, Good, {H, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0},
+                         "start-state table not strictly ascending");
+}
+
+TEST(SnapshotCorruption, TransitionTableOutOfOrderIsRejected) {
+  Grammar G = figure2Grammar();
+  const uint32_t H = snapshot::BackendTagHashed;
+  ASSERT_GE(G.numTerminals(), 2u);
+  // One empty state looping to itself on terminals 0 and 1.
+  const std::vector<uint32_t> Good = {H, 0, 1, 0, 2, 0, 0,
+                                      0, 0, 0, 0, 1, 0};
+  expectOnlyCheckRejects(G, Good, {H, 0, 1, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0},
+                         "transition table not strictly ascending");
+  expectOnlyCheckRejects(G, Good, {H, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0},
+                         "transition table not strictly ascending");
+}
+
+TEST(SnapshotCorruption, TruncatedTablesAreRejected) {
+  // Counts the payload could hold, given the words of the tables before
+  // them, but words missing from the table itself.
+  Grammar G = figure2Grammar();
+  const uint32_t H = snapshot::BackendTagHashed;
+  // A state of 5 configs with none stored.
+  expectOnlyCheckRejects(G, {H, 0, 1, 0, 0, 0, 0},
+                         {H, 0, 1, 0, 0, 0, 5}, "truncated DFA state");
+  // One start binding, one of its two words present.
+  expectOnlyCheckRejects(G, {H, 0, 1, 1, 0, 0, 0, 0, 0},
+                         {H, 0, 1, 1, 0, 0, 0, 0},
+                         "truncated start-state table");
+  // One transition, two of its three words present.
+  expectOnlyCheckRejects(G, {H, 0, 1, 0, 1, 0, 0, 0, 0, 0},
+                         {H, 0, 1, 0, 1, 0, 0, 0, 0},
+                         "truncated transition table");
+}
+
+TEST(SnapshotCorruption, PayloadOfPartialWordsIsRejected) {
+  Grammar G = figure2Grammar();
+  std::vector<uint8_t> Payload;
+  for (uint32_t W : {snapshot::BackendTagHashed, 0u, 0u, 0u, 0u, 0u})
+    w32(Payload, W);
+  Payload.push_back(0);
+  snapshot::SnapshotBuilder B(snapshot::grammarFingerprint(G),
+                              snapshot::BackendTagHashed);
+  B.addSection(snapshot::SectionSllCache, std::move(Payload));
+  snapshot::LoadResult R = snapshot::parseSnapshotBytes(B.finish(), G);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.Err->Kind, SnapshotErrorKind::Malformed);
+  EXPECT_NE(R.Err->Detail.find("not a multiple of 4"), std::string::npos)
+      << R.Err->Detail;
+}
